@@ -18,7 +18,7 @@
 //! 4. **Temporal tiling for multi-sweep runs** ([`temporal`]) —
 //!    [`time_steps`] fuses `t_block` time steps per DRAM round-trip
 //!    through a skewed per-band pipeline, bit-identical to repeated
-//!    [`apply_2d`] calls.
+//!    single sweeps on the same dispatch.
 //! 5. **Software prefetch** ([`prefetch`]) — the AVX2 kernels hint the
 //!    next input rows and the destination store stream (the paper's
 //!    Algorithm 3 analogue); tunable via `HSTENCIL_PREFETCH`, never on
@@ -62,9 +62,14 @@
 //!     AVX-512. Canonical chain, so bit-identical to the shifted-load
 //!     instances; like AVX-512, never auto-selected — reach them via the
 //!     pins, the tuner, [`Dispatch::candidates`] or the registry.
+//! 11. **Temporally-vectorized wavefront** ([`tempvec`], DESIGN.md §15)
+//!     — [`Dispatch::TempVec`] advances all `t_block` levels of an
+//!     interior trapezoid tile in one pass over `2r+1`-row rings. It is
+//!     the auto pick for streaming `f64` sweeps up to radius
+//!     [`tempvec::MAX_VEC_RADIUS`] ([`Dispatch::for_sweep_dtype`]).
 //!
-//! Dispatch is size-aware ([`Dispatch::for_width`]) and can be pinned
-//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|reuse|avx512+reuse`
+//! Dispatch is size-aware ([`Dispatch::for_sweep_dtype`]) and can be pinned
+//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|reuse|avx512+reuse|tempvec`
 //! (or the instance-named `HSTENCIL_KERNEL`, which takes precedence) —
 //! the canonical-chain paths stay bit-identical either way, the
 //! override only changes speed.
@@ -127,9 +132,11 @@ pub enum Dispatch {
     /// now (3-D narrows to [`Dispatch::detect`]).
     Avx512,
     /// Hybrid 8×8 register-tile schedule (Algorithm 2: rank-1 vertical
-    /// updates + inner MLA + in-place fold + store scattering). 2-D
-    /// only; has a bit-identical scalar fallback, so it runs on every
-    /// host.
+    /// updates + inner MLA + in-place fold + store scattering) — the
+    /// paper's artifact. Auto-picked only for streaming `f64` sweeps
+    /// with radius > 4, where tempvec has no vector body; otherwise
+    /// reached via the tuner or `HSTENCIL_KERNEL=hybrid`. 2-D only; has
+    /// a bit-identical scalar fallback, so it runs on every host.
     Hybrid,
     /// The AVX2 shifted-register reuse instance ([`kernel::Avx2ReuseTile`]):
     /// the [`Dispatch::Avx2Fma`] schedule with horizontal tap operands
@@ -149,9 +156,11 @@ pub enum Dispatch {
     /// scalar, AVX2 and AVX-512 bodies (the family picks the widest
     /// the host carries; all bodies agree bit-for-bit with each
     /// other). Reassociated relative to the canonical chain, so
-    /// ULP-bounded like [`Dispatch::Hybrid`] — opt-in via the tuner or
-    /// `HSTENCIL_KERNEL=tempvec`, never an auto pick. 2-D only (3-D
-    /// narrows to [`Dispatch::detect`]).
+    /// ULP-bounded like [`Dispatch::Hybrid`]. The auto pick for
+    /// streaming `f64` sweeps with radius ≤ 4 (step 3 of
+    /// [`Dispatch::for_sweep_dtype`]); elsewhere reach it via the tuner
+    /// or `HSTENCIL_KERNEL=tempvec`. 2-D only (3-D narrows to
+    /// [`Dispatch::detect`]).
     TempVec,
 }
 
@@ -229,11 +238,11 @@ impl Dispatch {
 
     /// Parses an `HSTENCIL_DISPATCH` / `HSTENCIL_KERNEL` value:
     /// `scalar`, `avx2`, `avx512`, `hybrid`, `reuse` (the AVX2 reuse
-    /// instance) and `avx512+reuse` pin the path, `auto` (or empty)
-    /// keeps the size-aware heuristic. Pinning an ISA path on a machine
+    /// instance), `avx512+reuse` and `tempvec` pin the path, `auto` (or
+    /// empty) keeps the size-aware heuristic. Pinning an ISA path on a machine
     /// without the ISA is ignored rather than deferred to a later
-    /// kernel panic (`hybrid` is fine everywhere — it has a scalar
-    /// fallback).
+    /// kernel panic (`hybrid` and `tempvec` are fine everywhere — both
+    /// have a scalar fallback).
     pub fn from_env_str(v: &str) -> Option<Dispatch> {
         match v.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Dispatch::Scalar),
@@ -330,12 +339,15 @@ impl Dispatch {
     ///    shape-class, dtype, thread-count) key ([`tune::plan_for`]) —
     ///    a dispatch tuned single-threaded never silently governs a
     ///    saturated sweep,
-    /// 3. with tuning enabled but no plan recorded: the hybrid 8×8
-    ///    kernel for streaming (out-of-cache) f64 shapes wide enough to
-    ///    vector-tile — the measured win on the recorded bench host.
-    ///    f32 sweeps skip this arm: the hybrid tile has no f32 vector
-    ///    body yet (DESIGN.md §12), so the canonical AVX2 kernel is the
-    ///    faster choice there,
+    /// 3. with tuning enabled but no plan recorded, for streaming
+    ///    (out-of-cache) f64 shapes wide enough to vector-tile: the
+    ///    tempvec family ([`Dispatch::TempVec`]) up to radius
+    ///    [`tempvec::MAX_VEC_RADIUS`], so multi-sweep callers run the
+    ///    fused wavefront (DESIGN.md §15) — the paired win over hybrid
+    ///    in EXPERIMENTS.md; wider radii would only get tempvec's
+    ///    scalar body and keep the hybrid 8×8 kernel. f32 sweeps skip
+    ///    this arm (DESIGN.md §12), so the canonical AVX2 kernel runs
+    ///    there,
     /// 4. the PR 4 width heuristic ([`Dispatch::for_width`]).
     ///
     /// `HSTENCIL_TUNE=off` disables steps 2 *and* 3, restoring the PR 4
@@ -359,7 +371,11 @@ impl Dispatch {
                 && w >= 8
                 && tune::ShapeClass::of_dtype(h, w, dtype) == tune::ShapeClass::Streaming
             {
-                return Dispatch::Hybrid;
+                return if spec.radius() <= tempvec::MAX_VEC_RADIUS as usize {
+                    Dispatch::TempVec
+                } else {
+                    Dispatch::Hybrid
+                };
             }
         }
         Dispatch::for_width(w)
@@ -706,10 +722,15 @@ pub fn apply_3d_parallel_in<E: NativeElement>(
 /// Out-of-cache multi-sweep runs go through the temporally-tiled
 /// pipeline ([`temporal::time_steps_temporal`]), which fuses `t_block`
 /// steps per DRAM round-trip; cache-resident runs ping-pong plain
-/// sweeps. Both schedules are bit-identical to `sweeps` sequential
-/// [`apply_2d`] calls, and both use the shared persistent pool (worker
-/// threads spawned at most once per process). `HSTENCIL_THREADS` pins
-/// the lane count process-wide, trumping `threads`.
+/// sweeps. The dispatch is resolved once, with `threads` lanes
+/// ([`Dispatch::for_sweep_dtype`]), and both schedules are
+/// bit-identical to `sweeps` sequential [`apply_2d_with`] calls on that
+/// dispatch. That equals sequential [`apply_2d`] calls only when both
+/// resolve the same dispatch: [`apply_2d`] asks with one lane, so a
+/// tuned per-thread-count plan can differ. Both schedules use the
+/// shared persistent pool (worker threads spawned at most once per
+/// process). `HSTENCIL_THREADS` pins the lane count process-wide,
+/// trumping `threads`.
 pub fn time_steps<E: NativeElement>(
     spec: &StencilSpec,
     init: &Grid2dT<E>,

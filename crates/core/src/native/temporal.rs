@@ -48,13 +48,15 @@
 //!
 //! ## Bit-identity
 //!
-//! Every cell at every level is produced by the *same* canonical FMA
-//! chain (`kernel2d::sweep_band_2d`) reading bit-identical inputs —
-//! the kernels are already invariant to band/tile decomposition (pinned
-//! by the dispatch bit-identity suite) — so by induction over levels a
-//! superstep is **bit-identical** to `steps` sequential
-//! [`super::apply_2d`] calls, pinned by the `native_temporal` property
-//! suite and the conformance registry's `native-temporal` variant.
+//! Every cell at every level is produced by the *same* FMA chain as a
+//! single sweep on the same dispatch (`kernel2d::sweep_band_2d`, or the
+//! tempvec wavefront's identical row bodies) reading bit-identical
+//! inputs — the kernels are already invariant to band/tile
+//! decomposition (pinned by the dispatch bit-identity suite) — so by
+//! induction over levels a superstep is **bit-identical** to `steps`
+//! sequential [`super::apply_2d_with`] calls on that dispatch, pinned by
+//! the `native_temporal` property suite and the conformance registry's
+//! `native-temporal` variant.
 //!
 //! ## Parallel structure
 //!
@@ -479,9 +481,9 @@ pub fn time_steps_temporal<E: NativeElement>(
 /// Runs `sweeps` time steps through the temporally-tiled pipeline on an
 /// explicit pool, dispatch path and [`Temporal`] configuration; returns
 /// the final state. Bit-identical to [`super::time_steps_in`] (and so
-/// to `sweeps` sequential [`super::apply_2d`] calls) for every
-/// configuration — tiling and banding only change the memory schedule,
-/// never a single FMA.
+/// to `sweeps` sequential [`super::apply_2d_with`] calls on `dispatch`)
+/// for every configuration — tiling and banding only change the memory
+/// schedule, never a single FMA.
 ///
 /// Cache-resident working sets and depth-1 blocks are delegated to the
 /// naive ping-pong unless `cfg.force_pipeline` is set.

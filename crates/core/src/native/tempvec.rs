@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// ring buffers a few KiB). Wider radii fall back to the scalar body,
 /// which is bit-identical, so the cap narrows performance, never
 /// results.
-pub(crate) const MAX_VEC_RADIUS: isize = 4;
+pub const MAX_VEC_RADIUS: isize = 4;
 
 /// Which ISA body the tempvec family runs. One [`Dispatch::TempVec`]
 /// covers all of them — the family picks the widest body the host

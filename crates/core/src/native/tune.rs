@@ -554,10 +554,11 @@ fn mode() -> &'static Mode {
 }
 
 /// True unless `HSTENCIL_TUNE=off` — gates both plan lookups and the
-/// streaming-shape hybrid heuristic in [`Dispatch::for_sweep`], so
-/// `off` restores the PR 4 decision tree bit-for-bit.
+/// streaming-shape heuristic in [`Dispatch::for_sweep_dtype`] (tempvec
+/// up to radius 4, hybrid beyond), so `off` restores the pre-tuner
+/// decision tree bit-for-bit.
 ///
-/// [`Dispatch::for_sweep`]: super::Dispatch::for_sweep
+/// [`Dispatch::for_sweep_dtype`]: super::Dispatch::for_sweep_dtype
 pub fn enabled() -> bool {
     !matches!(mode(), Mode::Off)
 }

@@ -34,6 +34,10 @@ tempvec_variants() {
 FEATURES="$(host_features)"
 echo "==> host CPU features:$FEATURES"
 echo "==> tempvec bodies this host can run: $(tempvec_variants "$FEATURES")"
+# Which kernel the auto path resolves for one streaming f64 shape (the
+# perfbench stream_timesteps case): "tempvec" means multi-sweep runs
+# take the fused wavefront by default on this host (DESIGN.md §15).
+echo "==> streaming f64 auto dispatch: $(cargo run -q --release --offline --bin hstencil -- dispatch --stencil star2d5p --size 12800 --threads 2 --dtype f64)"
 
 echo "==> formatting gate"
 cargo fmt --check

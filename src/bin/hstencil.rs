@@ -5,11 +5,17 @@
 //! hstencil run     --stencil star2d9p --method hstencil --size 256 --machine lx2
 //! hstencil compare --stencil box2d25p --size 128 --machine lx2
 //! hstencil asm     kernel.s            # assemble + execute a listing
+//! hstencil dispatch --stencil star2d5p --size 12800 --threads 2 --dtype f64
 //! ```
+//!
+//! `dispatch` prints the native kernel the auto entry points
+//! (`apply_2d_parallel`, `time_steps`) resolve for that sweep on this
+//! host, after env pins, tune plans and heuristics.
 
 use hstencil::isa::assemble;
+use hstencil::native::{tune, Dispatch};
 use hstencil::sim::{Machine, MachineConfig};
-use hstencil::{presets, Grid2d, Method, StencilPlan, StencilSpec};
+use hstencil::{presets, Dtype, Grid2d, Method, StencilPlan, StencilSpec};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -191,6 +197,36 @@ fn cmd_compare(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+fn cmd_dispatch(flags: &HashMap<String, String>) -> ExitCode {
+    let stencil = flags
+        .get("stencil")
+        .map(String::as_str)
+        .unwrap_or("star2d5p");
+    let size: usize = flags
+        .get("size")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12_800);
+    let threads: usize = flags
+        .get("threads")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    let dtype = flags.get("dtype").map(String::as_str).unwrap_or("f64");
+    let (Some(spec), Some(dtype)) = (stencil_by_name(stencil), Dtype::from_label(dtype)) else {
+        eprintln!("unknown stencil or dtype (f64|f32)");
+        return ExitCode::FAILURE;
+    };
+    let threads = hstencil::native::threads::resolve(threads);
+    let class = tune::ShapeClass::of_dtype(size, size, dtype);
+    println!(
+        "{} {size}x{size} {} threads={threads} ({class:?}, tuning {}): {}",
+        spec.name(),
+        dtype.label(),
+        if tune::enabled() { "on" } else { "off" },
+        Dispatch::for_sweep_dtype(&spec, size, size, threads, dtype).label()
+    );
+    ExitCode::SUCCESS
+}
+
 fn cmd_asm(path: &str) -> ExitCode {
     let source = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -235,6 +271,7 @@ fn main() -> ExitCode {
         Some("list") => cmd_list(),
         Some("run") => cmd_run(&flags),
         Some("compare") => cmd_compare(&flags),
+        Some("dispatch") => cmd_dispatch(&flags),
         Some("asm") => match args.get(1) {
             Some(path) => cmd_asm(path),
             None => {
@@ -244,9 +281,9 @@ fn main() -> ExitCode {
         },
         _ => {
             eprintln!(
-                "usage: hstencil <list|run|compare|asm> [--stencil S] [--method M] \
+                "usage: hstencil <list|run|compare|asm|dispatch> [--stencil S] [--method M] \
                  [--machine lx2|m4] [--size N] [--sweeps N] [--reg-blocks N] \
-                 [--no-prefetch] [--no-scheduling]"
+                 [--no-prefetch] [--no-scheduling] [--threads N] [--dtype f64|f32]"
             );
             ExitCode::FAILURE
         }
