@@ -93,8 +93,8 @@ impl Kernel {
         match self {
             Kernel::Seed => "seed",
             // The dispatch's own label ("scalar", "avx2+fma", "avx512",
-            // "hybrid8x8", "avx2+reuse", "avx512+reuse") — the same
-            // string the tune cache and HSTENCIL_DISPATCH use.
+            // "hybrid8x8", "tempvec") — the same string the tune cache
+            // and HSTENCIL_DISPATCH use.
             Kernel::Forced(d) => d.label(),
             Kernel::Best => Dispatch::detect().label(),
         }
@@ -593,24 +593,18 @@ fn main() {
             n,
         );
     }
-    // Shifted-register reuse vs shifted-load (ISSUE 9, DESIGN.md §14):
-    // the same row-pair schedule with horizontal tap operands
-    // synthesized in-register, so each aligned input vector is loaded
-    // once per row. The family also counts the hybrid 8×8 kernel (its
-    // inner-tap MLA now rides the same synthesis). The in-cache 256²
-    // f64 point is the `--gate-reuse` acceptance ratio; AVX-512 reuse
-    // rows record only on avx512f hosts (skip printed elsewhere).
+    // In-register operand synthesis vs shifted loads (DESIGN.md §10):
+    // the hybrid 8×8 kernel, whose inner-tap MLA synthesizes shifted
+    // operands in-register, against the detected per-tap-load kernel.
+    // The in-cache 256² f64 point is the `--gate-reuse` acceptance
+    // ratio. The standalone reuse kernels that used to share this
+    // group were removed (DESIGN.md §14); the group name is kept so
+    // recorded trajectories stay diffable.
     if Dispatch::avx2_available() {
-        let mut reuse_kernels = vec![
+        let reuse_kernels = [
             Kernel::Forced(Dispatch::detect()),
             Kernel::Forced(Dispatch::Hybrid),
-            Kernel::Forced(Dispatch::Avx2Reuse),
         ];
-        if Dispatch::avx512_available() {
-            reuse_kernels.push(Kernel::Forced(Dispatch::Avx512Reuse));
-        } else {
-            println!("native2d_reuse avx512+reuse rows skipped: host lacks avx512f");
-        }
         for size in [256usize, 4096] {
             let (warm, n) = if size <= 256 {
                 (warm_in, n_in)
@@ -856,10 +850,10 @@ fn main() {
         }
     }
     // Reuse-family vs shifted-load-family ratio: best kernel whose
-    // operands are synthesized in-register ("*reuse*" labels plus the
-    // hybrid 8×8, whose inner MLA now shares the synthesis) against
-    // the best per-tap-load kernel, f64 star2d5p t1. The in-cache
-    // point is the `--gate-reuse` acceptance ratio in verify.sh.
+    // operands are synthesized in-register (the hybrid 8×8, whose
+    // inner MLA synthesizes shifts) against the best per-tap-load
+    // kernel, f64 star2d5p t1. The in-cache point is the
+    // `--gate-reuse` acceptance ratio in verify.sh.
     let family_min = |size: usize, reuse_family: bool| {
         rows.iter()
             .filter(|r| {
@@ -869,7 +863,7 @@ fn main() {
                     && r.threads == 1
                     && r.dtype == "f64"
                     && r.kernel != "seed"
-                    && (r.kernel.contains("reuse") || r.kernel == "hybrid8x8") == reuse_family
+                    && (r.kernel == "hybrid8x8") == reuse_family
             })
             .map(|r| r.summary.median)
             .min_by(f64::total_cmp)

@@ -73,10 +73,6 @@ mod tests {
                 "HSTENCIL_THREADS",
                 Box::new(|v| threads::from_env_str_warn(v).1),
             ),
-            (
-                "HSTENCIL_KERNEL",
-                Box::new(|v| Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", v.unwrap_or("")).1),
-            ),
         ]
     }
 

@@ -186,15 +186,10 @@ pub(crate) fn sweep_band_3d<E: NativeElement>(
             t_lo,
             t_hi,
         ),
-        // The hybrid register tile, the AVX-512 instance, the
-        // shifted-register reuse instances and the temporally-vectorized
-        // family are 2-D only; the 3-D entry points narrow them away
-        // before the kernel.
-        Dispatch::Hybrid
-        | Dispatch::Avx512
-        | Dispatch::Avx2Reuse
-        | Dispatch::Avx512Reuse
-        | Dispatch::TempVec => {
+        // The hybrid register tile, the AVX-512 instance and the
+        // temporally-vectorized family are 2-D only; the 3-D entry
+        // points narrow them away before the kernel.
+        Dispatch::Hybrid | Dispatch::Avx512 | Dispatch::TempVec => {
             unreachable!("Dispatch::narrow_3d maps 2-D-only dispatches before kernel3d")
         }
     }

@@ -51,26 +51,16 @@
 //!    [`Dispatch::Avx512`] is runtime-detected and deliberately kept
 //!    *out* of the auto heuristics (recorded plans and goldens stay
 //!    byte-stable); it is reachable via [`Dispatch::candidates`], the
-//!    `HSTENCIL_KERNEL`/`HSTENCIL_DISPATCH` pins, the conformance
-//!    registry and the bench harness.
-//! 10. **Shifted-register tap reuse** (`reuse`, DESIGN.md §14) —
-//!     [`Dispatch::Avx2Reuse`] and [`Dispatch::Avx512Reuse`] run the
-//!     same row-pair schedule but load each input row vector once per
-//!     step and synthesize every interior shifted operand in-register
-//!     (the paper's §3.2 EXT idiom): `vpermpd`/`vshufpd` blends on AVX2
-//!     `f64`, `vpalignr` on AVX2 `f32`, native `valignq`/`valignd` on
-//!     AVX-512. Canonical chain, so bit-identical to the shifted-load
-//!     instances; like AVX-512, never auto-selected — reach them via the
-//!     pins, the tuner, [`Dispatch::candidates`] or the registry.
-//! 11. **Temporally-vectorized wavefront** ([`tempvec`], DESIGN.md §15)
+//!    `HSTENCIL_DISPATCH` pin, the conformance registry and the bench
+//!    harness.
+//! 10. **Temporally-vectorized wavefront** ([`tempvec`], DESIGN.md §15)
 //!     — [`Dispatch::TempVec`] advances all `t_block` levels of an
 //!     interior trapezoid tile in one pass over `2r+1`-row rings. It is
 //!     the auto pick for streaming `f64` sweeps up to radius
 //!     [`tempvec::MAX_VEC_RADIUS`] ([`Dispatch::for_sweep_dtype`]).
 //!
 //! Dispatch is size-aware ([`Dispatch::for_sweep_dtype`]) and can be pinned
-//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|reuse|avx512+reuse|tempvec`
-//! (or the instance-named `HSTENCIL_KERNEL`, which takes precedence) —
+//! with `HSTENCIL_DISPATCH=scalar|avx2|avx512|hybrid|tempvec|auto` —
 //! the canonical-chain paths stay bit-identical either way, the
 //! override only changes speed.
 //!
@@ -95,7 +85,6 @@ mod env;
 mod hybrid;
 mod kernel2d;
 mod kernel3d;
-mod reuse;
 mod tile;
 
 pub use kernel::{NativeElement, TileKernel};
@@ -128,27 +117,16 @@ pub enum Dispatch {
     /// ([`Dispatch::detect`] / [`Dispatch::for_width`] /
     /// [`Dispatch::for_sweep`]) so recorded tune plans, goldens and
     /// bench baselines stay byte-stable across hosts; pin it via
-    /// `HSTENCIL_KERNEL=avx512` or select it explicitly. 2-D only for
+    /// `HSTENCIL_DISPATCH=avx512` or select it explicitly. 2-D only for
     /// now (3-D narrows to [`Dispatch::detect`]).
     Avx512,
     /// Hybrid 8×8 register-tile schedule (Algorithm 2: rank-1 vertical
     /// updates + inner MLA + in-place fold + store scattering) — the
     /// paper's artifact. Auto-picked only for streaming `f64` sweeps
     /// with radius > 4, where tempvec has no vector body; otherwise
-    /// reached via the tuner or `HSTENCIL_KERNEL=hybrid`. 2-D only; has
+    /// reached via the tuner or `HSTENCIL_DISPATCH=hybrid`. 2-D only; has
     /// a bit-identical scalar fallback, so it runs on every host.
     Hybrid,
-    /// The AVX2 shifted-register reuse instance ([`kernel::Avx2ReuseTile`]):
-    /// the [`Dispatch::Avx2Fma`] schedule with horizontal tap operands
-    /// synthesized in-register instead of re-loaded per tap (`reuse`
-    /// module; the paper's EXT idiom). Same canonical chain, so
-    /// bit-identical to every other canonical instance; kept out of the
-    /// auto heuristics like AVX-512.
-    Avx2Reuse,
-    /// The AVX-512 reuse instance ([`kernel::Avx512ReuseTile`]):
-    /// `valignq`/`valignd` operand synthesis over the
-    /// [`Dispatch::Avx512`] schedule (x86-64 with `avx512f` only).
-    Avx512Reuse,
     /// The temporally-vectorized family ([`tempvec`]): single sweeps
     /// run the two-accumulator shift-synthesized row kernel, and the
     /// trapezoid executor fuses `t_block` time levels into one
@@ -159,7 +137,7 @@ pub enum Dispatch {
     /// ULP-bounded like [`Dispatch::Hybrid`]. The auto pick for
     /// streaming `f64` sweeps with radius ≤ 4 (step 3 of
     /// [`Dispatch::for_sweep_dtype`]); elsewhere reach it via the tuner
-    /// or `HSTENCIL_KERNEL=tempvec`. 2-D only (3-D narrows to
+    /// or `HSTENCIL_DISPATCH=tempvec`. 2-D only (3-D narrows to
     /// [`Dispatch::detect`]).
     TempVec,
 }
@@ -214,12 +192,6 @@ impl Dispatch {
         if Dispatch::avx512_available() {
             v.push(Dispatch::Avx512);
         }
-        if Dispatch::avx2_available() {
-            v.push(Dispatch::Avx2Reuse);
-        }
-        if Dispatch::avx512_available() {
-            v.push(Dispatch::Avx512Reuse);
-        }
         v
     }
 
@@ -230,16 +202,13 @@ impl Dispatch {
             Dispatch::Avx2Fma => "avx2+fma",
             Dispatch::Avx512 => "avx512",
             Dispatch::Hybrid => "hybrid8x8",
-            Dispatch::Avx2Reuse => "avx2+reuse",
-            Dispatch::Avx512Reuse => "avx512+reuse",
             Dispatch::TempVec => "tempvec",
         }
     }
 
-    /// Parses an `HSTENCIL_DISPATCH` / `HSTENCIL_KERNEL` value:
-    /// `scalar`, `avx2`, `avx512`, `hybrid`, `reuse` (the AVX2 reuse
-    /// instance), `avx512+reuse` and `tempvec` pin the path, `auto` (or
-    /// empty) keeps the size-aware heuristic. Pinning an ISA path on a machine
+    /// Parses an `HSTENCIL_DISPATCH` value: `scalar`, `avx2`, `avx512`,
+    /// `hybrid` and `tempvec` pin the path, `auto` (or empty) keeps the
+    /// size-aware heuristic. Pinning an ISA path on a machine
     /// without the ISA is ignored rather than deferred to a later
     /// kernel panic (`hybrid` and `tempvec` are fine everywhere — both
     /// have a scalar fallback).
@@ -249,8 +218,6 @@ impl Dispatch {
             "avx2" | "avx2+fma" if Dispatch::avx2_available() => Some(Dispatch::Avx2Fma),
             "avx512" | "avx512f" if Dispatch::avx512_available() => Some(Dispatch::Avx512),
             "hybrid" | "hybrid8x8" => Some(Dispatch::Hybrid),
-            "reuse" | "avx2+reuse" if Dispatch::avx2_available() => Some(Dispatch::Avx2Reuse),
-            "avx512+reuse" if Dispatch::avx512_available() => Some(Dispatch::Avx512Reuse),
             // Like hybrid, tempvec has a bit-identical scalar body, so
             // the pin is honored on every host.
             "tempvec" => Some(Dispatch::TempVec),
@@ -263,48 +230,32 @@ impl Dispatch {
     /// "keep the heuristic" forms — so a typo in `HSTENCIL_DISPATCH`
     /// names itself on stderr instead of silently running the default.
     pub fn from_env_str_warn(v: &str) -> (Option<Dispatch>, Option<String>) {
-        Dispatch::pin_from_env_warn("HSTENCIL_DISPATCH", v)
-    }
-
-    /// [`Dispatch::from_env_str_warn`] with the knob name
-    /// parameterized, so `HSTENCIL_KERNEL` (the trait-instance pin) and
-    /// `HSTENCIL_DISPATCH` share one parser and one warning format.
-    pub fn pin_from_env_warn(var: &str, v: &str) -> (Option<Dispatch>, Option<String>) {
         let parsed = Dispatch::from_env_str(v);
         if parsed.is_some() {
             return (parsed, None);
         }
         let warn = match v.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => None,
-            "avx2" | "avx2+fma" | "reuse" | "avx2+reuse" => Some(format!(
-                "hstencil: {var}={v:?} requests AVX2+FMA but this \
+            "avx2" | "avx2+fma" => Some(format!(
+                "hstencil: HSTENCIL_DISPATCH={v:?} requests AVX2+FMA but this \
                  machine lacks it; using the size-aware heuristic"
             )),
-            "avx512" | "avx512f" | "avx512+reuse" => Some(format!(
-                "hstencil: {var}={v:?} requests AVX-512 but this \
+            "avx512" | "avx512f" => Some(format!(
+                "hstencil: HSTENCIL_DISPATCH={v:?} requests AVX-512 but this \
                  machine lacks avx512f; using the size-aware heuristic"
             )),
             _ => Some(format!(
-                "hstencil: ignoring malformed {var}={v:?} \
-                 (expected scalar|avx2|avx512|hybrid|reuse|avx512+reuse|tempvec|auto); \
+                "hstencil: ignoring malformed HSTENCIL_DISPATCH={v:?} \
+                 (expected scalar|avx2|avx512|hybrid|tempvec|auto); \
                  using the size-aware heuristic"
             )),
         };
         (None, warn)
     }
 
-    /// The process-wide kernel pin: `HSTENCIL_KERNEL` (the
-    /// trait-instance spelling) takes precedence over
-    /// `HSTENCIL_DISPATCH`; both are read once through
-    /// [`env::cached`] and warn once on malformed values.
+    /// The process-wide kernel pin: `HSTENCIL_DISPATCH`, read once
+    /// through [`env::cached`] and warned once on malformed values.
     fn env_override() -> Option<Dispatch> {
-        static KERNEL_PIN: OnceLock<Option<Dispatch>> = OnceLock::new();
-        let pin = env::cached(&KERNEL_PIN, "HSTENCIL_KERNEL", |v| {
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", v.unwrap_or(""))
-        });
-        if pin.is_some() {
-            return pin;
-        }
         static OVERRIDE: OnceLock<Option<Dispatch>> = OnceLock::new();
         env::cached(&OVERRIDE, "HSTENCIL_DISPATCH", |v| {
             Dispatch::from_env_str_warn(v.unwrap_or(""))
@@ -334,7 +285,7 @@ impl Dispatch {
     /// `dtype` elements split across `threads` lanes, in precedence
     /// order:
     ///
-    /// 1. the `HSTENCIL_KERNEL` / `HSTENCIL_DISPATCH` env pin,
+    /// 1. the `HSTENCIL_DISPATCH` env pin,
     /// 2. the autotuner's cached plan for this (pattern, radius,
     ///    shape-class, dtype, thread-count) key ([`tune::plan_for`]) —
     ///    a dispatch tuned single-threaded never silently governs a
@@ -395,11 +346,7 @@ impl Dispatch {
     /// keeping [`kernel3d`]'s dispatch match two-way.
     fn narrow_3d(self) -> Dispatch {
         match self {
-            Dispatch::Hybrid
-            | Dispatch::Avx512
-            | Dispatch::Avx2Reuse
-            | Dispatch::Avx512Reuse
-            | Dispatch::TempVec => Dispatch::detect(),
+            Dispatch::Hybrid | Dispatch::Avx512 | Dispatch::TempVec => Dispatch::detect(),
             d => d,
         }
     }
@@ -919,13 +866,7 @@ mod tests {
         let a = random_grid_3d(5, 9, 13, 1, 23);
         let mut scalar = Grid3d::zeros(5, 9, 13, 1);
         apply_3d_with(Dispatch::Scalar, &spec, &a, &mut scalar);
-        for d in [
-            Dispatch::Avx512,
-            Dispatch::Hybrid,
-            Dispatch::Avx2Reuse,
-            Dispatch::Avx512Reuse,
-            Dispatch::TempVec,
-        ] {
+        for d in [Dispatch::Avx512, Dispatch::Hybrid, Dispatch::TempVec] {
             let mut got = Grid3d::zeros(5, 9, 13, 1);
             apply_3d_with(d, &spec, &a, &mut got);
             assert_eq!(scalar.max_interior_diff(&got), 0.0, "{d:?}");
@@ -1122,22 +1063,6 @@ mod tests {
         } else {
             assert_eq!(avx512, None);
         }
-        let reuse = Dispatch::from_env_str("reuse");
-        if Dispatch::avx2_available() {
-            assert_eq!(reuse, Some(Dispatch::Avx2Reuse));
-            assert_eq!(
-                Dispatch::from_env_str("AVX2+Reuse"),
-                Some(Dispatch::Avx2Reuse)
-            );
-        } else {
-            assert_eq!(reuse, None);
-        }
-        let reuse512 = Dispatch::from_env_str("avx512+reuse");
-        if Dispatch::avx512_available() {
-            assert_eq!(reuse512, Some(Dispatch::Avx512Reuse));
-        } else {
-            assert_eq!(reuse512, None);
-        }
     }
 
     #[test]
@@ -1159,64 +1084,33 @@ mod tests {
             assert_eq!(p, None);
             assert!(w.unwrap().contains("AVX2"));
         }
-        if !Dispatch::avx2_available() {
-            let (p, w) = Dispatch::from_env_str_warn("reuse");
-            assert_eq!(p, None);
-            assert!(w.unwrap().contains("AVX2"));
-        }
         if !Dispatch::avx512_available() {
             let (p, w) = Dispatch::from_env_str_warn("avx512");
             assert_eq!(p, None);
             assert!(w.unwrap().contains("avx512f"));
-            let (p, w) = Dispatch::from_env_str_warn("avx512+reuse");
-            assert_eq!(p, None);
-            assert!(w.unwrap().contains("avx512f"));
         }
+        // The warning lists exactly the values the pin accepts.
+        let (_, w) = Dispatch::from_env_str_warn("bogus");
+        assert!(
+            w.unwrap()
+                .contains("(expected scalar|avx2|avx512|hybrid|tempvec|auto)"),
+            "lists the accepted values"
+        );
     }
 
     #[test]
-    fn kernel_pin_parser_names_its_own_knob() {
-        // HSTENCIL_KERNEL shares the dispatch parser but must warn
-        // under its own name, so a typo in either knob is attributable.
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "scalar"),
-            (Some(Dispatch::Scalar), None)
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "hybrid8x8").0,
-            Some(Dispatch::Hybrid)
-        );
-        let (p, w) = Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "b?gus");
-        assert_eq!(p, None);
-        let w = w.expect("malformed pin must warn");
-        assert!(w.contains("HSTENCIL_KERNEL"), "{w}");
-        assert!(w.contains("b?gus"), "{w}");
-        // Silence contract: unset-equivalent spellings stay quiet.
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", ""),
-            (None, None)
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "auto"),
-            (None, None)
-        );
-        // ISA pins resolve exactly like HSTENCIL_DISPATCH.
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "avx512").0,
-            Dispatch::from_env_str("avx512")
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "reuse").0,
-            Dispatch::from_env_str("reuse")
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "avx512+reuse").0,
-            Dispatch::from_env_str("avx512+reuse")
-        );
-        assert_eq!(
-            Dispatch::pin_from_env_warn("HSTENCIL_KERNEL", "tempvec").0,
-            Some(Dispatch::TempVec)
-        );
+    fn removed_reuse_labels_are_malformed_pins() {
+        // The shifted-register reuse dispatches are gone: their old
+        // spellings pin nothing and warn as malformed on every host,
+        // instead of being mistaken for an ISA the host lacks.
+        for v in ["reuse", "avx2+reuse", "avx512+reuse"] {
+            assert_eq!(Dispatch::from_env_str(v), None, "{v}");
+            let (p, w) = Dispatch::from_env_str_warn(v);
+            assert_eq!(p, None, "{v}");
+            let w = w.unwrap_or_else(|| panic!("{v}: removed label must warn"));
+            assert!(w.contains("ignoring malformed HSTENCIL_DISPATCH"), "{w}");
+            assert!(w.contains(&format!("{v:?}")), "names the bad value: {w}");
+        }
     }
 
     #[test]

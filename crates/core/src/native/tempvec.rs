@@ -21,10 +21,11 @@
 //! `row + x + k` with a broadcast-FMA per tap; the tap pointers and
 //! broadcast coefficients are flattened into per-row tables once, so
 //! the hot loop is nothing but load/FMA pairs. (An EXT-synthesis
-//! variant built on the `super::reuse` shift helpers was measured
-//! first and lost ~2x: with the ring buffers L1-resident, reloads ride
-//! x86's dual load ports while the synthesis serializes on port-5
-//! shuffles — the same standalone finding recorded in DESIGN.md §14.
+//! variant built on the since-removed reuse kernels' shift helpers was
+//! measured first and lost ~2x: with the ring buffers L1-resident,
+//! reloads ride x86's dual load ports while the synthesis serializes on
+//! port-5 shuffles — the same standalone finding recorded in DESIGN.md
+//! §14.
 //! Shuffles move IEEE values, so both forms produce identical lanes
 //! and the swap is invisible to conformance.) Each point folds through
 //! **two** alternating accumulators, so

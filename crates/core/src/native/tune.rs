@@ -35,11 +35,10 @@
 //!   candidate grid ([`candidates`]) with the testkit timer **at the
 //!   key's own element type** (an `f32` key measures real `f32`
 //!   sweeps), memoize the winner and persist the whole set to the
-//!   default cache path. Candidates that cannot win for the key's
-//!   pattern/radius/dtype are pruned before anything is timed
+//!   default cache path. Candidates that cannot win at the key's
+//!   element type are pruned before anything is timed
 //!   ([`prune_dominated`], skip count logged), keeping a force-mode
-//!   miss to a few seconds per key even with the reuse families on
-//!   the axis.
+//!   miss to a few seconds per key.
 //! * **`<path>`** — consult (never write) the plan file at `path`.
 //! * **unset/empty** — consult (never write) the default cache path,
 //!   `target/hstencil-tune.json`; a missing file simply means "no
@@ -129,7 +128,7 @@ pub fn plan_key(spec: &StencilSpec, class: ShapeClass, dtype: Dtype, threads: us
 }
 
 /// The innermost multi-sweep strategy a persisted plan records: the
-/// spatial level loop (every canonical/hybrid/reuse dispatch) or the
+/// spatial level loop (every canonical/hybrid dispatch) or the
 /// temporally-vectorized fused wavefront ([`Dispatch::TempVec`]). The
 /// strategy is fully determined by the dispatch — the key segment
 /// spells it out so a v4 document is auditable without a dispatch
@@ -305,7 +304,8 @@ impl PlanSet {
         let version = doc.get("version").and_then(Json::as_f64);
         if version != Some(SCHEMA_VERSION as f64) {
             return Err(format!(
-                "stale or unknown schema version {version:?} (want {SCHEMA_VERSION};                  pre-strategy-key plans must be re-tuned, not reused)"
+                "stale or unknown schema version {version:?} (want {SCHEMA_VERSION}; \
+                 pre-strategy-key plans must be re-tuned, not reused)"
             ));
         }
         let rows = doc
@@ -341,33 +341,17 @@ pub struct Candidate {
 }
 
 /// The deterministic candidate grid for one shape class:
-/// {best canonical kernel, hybrid 8×8, shifted-register reuse,
-/// temporally-vectorized} × tile geometries × `t_block` depths. The
-/// reuse dispatches join the axis only on hosts whose ISA carries
-/// them; tempvec always joins (scalar fallback). Order is fixed — the tuner
-/// breaks cost ties by keeping the earliest candidate, so enumeration
-/// order is part of the determinism contract (new families append
-/// after the existing ones; index 0 never moves).
+/// {best canonical kernel, hybrid 8×8, temporally-vectorized} × tile
+/// geometries × `t_block` depths. Every kernel on the axis runs on
+/// every host (hybrid and tempvec have scalar fallbacks). Order is
+/// fixed — the tuner breaks cost ties by keeping the earliest
+/// candidate, so enumeration order is part of the determinism contract
+/// (new families append after the existing ones; index 0 never moves).
 pub fn candidates(class: ShapeClass) -> Vec<Candidate> {
-    let mut dispatches = vec![
-        if Dispatch::avx2_available() {
-            Dispatch::Avx2Fma
-        } else {
-            Dispatch::Scalar
-        },
-        Dispatch::Hybrid,
-    ];
-    if Dispatch::avx2_available() {
-        dispatches.push(Dispatch::Avx2Reuse);
-    }
-    if Dispatch::avx512_available() {
-        dispatches.push(Dispatch::Avx512Reuse);
-    }
-    // The temporally-vectorized family is runnable everywhere (its
-    // scalar body is part of the bit-identity contract), so it always
-    // joins the axis; on vector hosts its rows also put the fused
-    // wavefront strategy up for measurement.
-    dispatches.push(Dispatch::TempVec);
+    // Tempvec's scalar body is part of its bit-identity contract, so it
+    // joins the axis everywhere; on vector hosts its rows also put the
+    // fused wavefront strategy up for measurement.
+    let dispatches = [Dispatch::detect(), Dispatch::Hybrid, Dispatch::TempVec];
     let tiles = tile::temporal_tile_candidates();
     let t_blocks: &[usize] = match class {
         // Cache-resident runs gain nothing from deep fusion.
@@ -415,8 +399,8 @@ pub fn run_tuner_over(cands: &[Candidate], measure: &mut dyn FnMut(&Candidate) -
     }
 }
 
-/// Drops candidates that cannot win for this **(pattern, radius,
-/// dtype)** before any wall clock runs, returning the survivors and
+/// Drops candidates that cannot win for this **dtype** before any wall
+/// clock runs, returning the survivors and
 /// the skip count. `HSTENCIL_TUNE=force` measures every surviving
 /// candidate with a multi-sample superstep, so each pruned row saves
 /// real seconds per key. The rules are conservative — a candidate is
@@ -426,40 +410,16 @@ pub fn run_tuner_over(cands: &[Candidate], measure: &mut dyn FnMut(&Candidate) -
 /// * **`f32` × hybrid**: the hybrid instance has no `f32` vector body
 ///   (it sweeps through the scalar chain), so whenever the list also
 ///   carries a canonical vector kernel the hybrid rows are dominated.
-/// * **Over-cap reuse**: a reuse dispatch whose ISA shift range cannot
-///   cover the stencil radius delegates wholesale to its plain-tile
-///   sibling, so measuring it re-measures a kernel already on the
-///   axis.
 ///
 /// Candidate 0 (the best canonical kernel) is never pruned, so the
 /// grid never empties. Pure — unit-testable without a host ISA.
-pub fn prune_dominated(
-    cands: &[Candidate],
-    spec: &StencilSpec,
-    dtype: Dtype,
-) -> (Vec<Candidate>, usize) {
-    let r = spec.radius() as isize;
-    let (cap_avx2, cap_avx512) = match dtype {
-        Dtype::F64 => (
-            super::reuse::max_radius_avx2::<f64>(),
-            super::reuse::max_radius_avx512::<f64>(),
-        ),
-        Dtype::F32 => (
-            super::reuse::max_radius_avx2::<f32>(),
-            super::reuse::max_radius_avx512::<f32>(),
-        ),
-    };
+pub fn prune_dominated(cands: &[Candidate], dtype: Dtype) -> (Vec<Candidate>, usize) {
     let has_vector = cands
         .iter()
         .any(|c| matches!(c.dispatch, Dispatch::Avx2Fma | Dispatch::Avx512));
     let kept: Vec<Candidate> = cands
         .iter()
-        .filter(|c| match c.dispatch {
-            Dispatch::Hybrid => !(dtype == Dtype::F32 && has_vector),
-            Dispatch::Avx2Reuse => r <= cap_avx2,
-            Dispatch::Avx512Reuse => r <= cap_avx512,
-            _ => true,
-        })
+        .filter(|c| !(c.dispatch == Dispatch::Hybrid && dtype == Dtype::F32 && has_vector))
         .copied()
         .collect();
     let skipped = cands.len() - kept.len();
@@ -644,7 +604,7 @@ pub fn plan_for(
     if !force {
         return None;
     }
-    let (kept, skipped) = prune_dominated(&candidates(class), spec, dtype);
+    let (kept, skipped) = prune_dominated(&candidates(class), dtype);
     if skipped > 0 {
         eprintln!(
             "hstencil: tune[{base}]: pruned {skipped} dominated candidate(s) before measuring"
@@ -759,59 +719,50 @@ mod tests {
     }
 
     #[test]
-    fn candidate_grid_puts_reuse_on_the_kernel_axis() {
+    fn candidate_grid_kernel_axis_order_is_pinned() {
         for class in [ShapeClass::Resident, ShapeClass::Streaming] {
             let cands = candidates(class);
             // Index 0 is still the best canonical kernel — the flat
-            // tie-break contract pins it, reuse families only append.
+            // tie-break contract pins it.
             assert!(matches!(
                 cands[0].dispatch,
                 Dispatch::Avx2Fma | Dispatch::Scalar
             ));
+            assert_eq!(cands[0].dispatch, Dispatch::detect());
+            // The kernel axis in enumeration order, one entry per run
+            // of equal dispatches: [best canonical, Hybrid, TempVec] on
+            // every host (hybrid and tempvec have scalar bodies).
+            let mut axis: Vec<Dispatch> = cands.iter().map(|c| c.dispatch).collect();
+            axis.dedup();
             assert_eq!(
-                cands.iter().any(|c| c.dispatch == Dispatch::Avx2Reuse),
-                Dispatch::avx2_available()
+                axis,
+                [Dispatch::detect(), Dispatch::Hybrid, Dispatch::TempVec]
             );
-            assert_eq!(
-                cands.iter().any(|c| c.dispatch == Dispatch::Avx512Reuse),
-                Dispatch::avx512_available()
-            );
-            // The tempvec family is unconditionally on the axis (its
-            // scalar body runs anywhere), appended after the reuse rows
-            // so every pre-v4 index is undisturbed.
-            assert!(cands.iter().any(|c| c.dispatch == Dispatch::TempVec));
-            assert_eq!(cands.last().unwrap().dispatch, Dispatch::TempVec);
         }
     }
 
-    /// A hand-built grid with every family present, so the pruning
-    /// tests do not depend on the host ISA.
+    /// A hand-built grid with a vector kernel and the hybrid present,
+    /// so the pruning tests do not depend on the host ISA.
     fn full_grid() -> Vec<Candidate> {
-        [
-            Dispatch::Avx2Fma,
-            Dispatch::Hybrid,
-            Dispatch::Avx2Reuse,
-            Dispatch::Avx512Reuse,
-        ]
-        .iter()
-        .map(|&dispatch| Candidate {
-            dispatch,
-            tile: (64, 512),
-            t_block: 4,
-        })
-        .collect()
+        [Dispatch::Avx2Fma, Dispatch::Hybrid, Dispatch::TempVec]
+            .iter()
+            .map(|&dispatch| Candidate {
+                dispatch,
+                tile: (64, 512),
+                t_block: 4,
+            })
+            .collect()
     }
 
     #[test]
     fn prune_drops_f32_hybrid_when_a_vector_kernel_is_on_the_axis() {
-        let star = presets::star2d5p();
         let grid = full_grid();
-        let (kept, skipped) = prune_dominated(&grid, &star, Dtype::F32);
+        let (kept, skipped) = prune_dominated(&grid, Dtype::F32);
         assert_eq!(skipped, 1);
         assert!(!kept.iter().any(|c| c.dispatch == Dispatch::Hybrid));
         assert_eq!(kept[0].dispatch, Dispatch::Avx2Fma, "index 0 survives");
         // At f64 the hybrid has a real vector body — kept.
-        let (kept64, skipped64) = prune_dominated(&grid, &star, Dtype::F64);
+        let (kept64, skipped64) = prune_dominated(&grid, Dtype::F64);
         assert_eq!(skipped64, 0);
         assert_eq!(kept64, grid);
         // With no vector kernel on the axis (scalar-only host) the
@@ -821,50 +772,22 @@ mod tests {
             .filter(|c| matches!(c.dispatch, Dispatch::Hybrid))
             .copied()
             .collect();
-        let (kept_s, skipped_s) = prune_dominated(&scalar_grid, &star, Dtype::F32);
+        let (kept_s, skipped_s) = prune_dominated(&scalar_grid, Dtype::F32);
         assert_eq!(skipped_s, 0);
         assert_eq!(kept_s, scalar_grid);
     }
 
     #[test]
-    fn prune_drops_over_cap_reuse_candidates() {
-        // radius 5 exceeds the AVX2 f64 shift range (4) but not the
-        // AVX-512 one (8): the avx2+reuse rows would delegate
-        // wholesale to the plain tile already measured at index 0.
-        let axis = [0.25, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.25];
-        let wide = StencilSpec::star_2d("star2d21p-test", 5, axis[5], &axis, &axis);
-        let grid = full_grid();
-        let (kept, skipped) = prune_dominated(&grid, &wide, Dtype::F64);
-        assert_eq!(skipped, 1);
-        assert!(!kept.iter().any(|c| c.dispatch == Dispatch::Avx2Reuse));
-        assert!(kept.iter().any(|c| c.dispatch == Dispatch::Avx512Reuse));
-        // At f32 the AVX2 shift range is 8 lanes wide — radius 5 fits.
-        let (kept32, skipped32) = prune_dominated(&grid, &wide, Dtype::F32);
-        assert_eq!(skipped32, 1, "only the dominated f32 hybrid goes");
-        assert!(kept32.iter().any(|c| c.dispatch == Dispatch::Avx2Reuse));
-        // Every preset fits every reuse range: nothing pruned at f64.
-        for spec in presets::suite_2d() {
-            let (_, s) = prune_dominated(&grid, &spec, Dtype::F64);
-            assert_eq!(
-                s,
-                0,
-                "{}: presets never trigger radius pruning",
-                spec.name()
-            );
-        }
-    }
-
-    #[test]
     fn prune_never_empties_the_grid() {
-        let axis_r9: Vec<f64> = (0..19).map(|k| if k == 9 { -1.0 } else { 0.05 }).collect();
-        let huge = StencilSpec::star_2d("star-r9-test", 9, -1.0, &axis_r9, &axis_r9);
-        let (kept, skipped) = prune_dominated(&full_grid(), &huge, Dtype::F32);
-        // At f32 r=9 both the hybrid (dominated) and avx2+reuse
-        // (shift range 8) fall; avx512+reuse (range 16) survives.
-        assert_eq!(skipped, 2);
-        assert!(!kept.is_empty());
-        assert_eq!(kept[0].dispatch, Dispatch::Avx2Fma);
-        assert!(kept.iter().any(|c| c.dispatch == Dispatch::Avx512Reuse));
+        for class in [ShapeClass::Resident, ShapeClass::Streaming] {
+            let cands = candidates(class);
+            for dtype in [Dtype::F64, Dtype::F32] {
+                let (kept, skipped) = prune_dominated(&cands, dtype);
+                assert!(!kept.is_empty());
+                assert_eq!(kept[0], cands[0], "candidate 0 is never pruned");
+                assert_eq!(kept.len() + skipped, cands.len());
+            }
+        }
     }
 
     #[test]
@@ -1012,6 +935,8 @@ mod tests {
         assert!(err.contains("version"), "{err}");
         assert!(err.contains("pre-strategy-key"), "{err}");
         assert!(err.contains("re-tuned"), "{err}");
+        // One sentence, no continuation-line indent leaking into it.
+        assert!(!err.contains("  "), "double space in {err:?}");
     }
 
     #[test]
@@ -1068,6 +993,25 @@ mod tests {
                     \"tile_rows\":128,\"tile_cols\":512,\"t_block\":8}]}";
         let set = PlanSet::parse(text).unwrap();
         assert!(set.is_empty());
+        // Labels of the removed shifted-register reuse kernels are
+        // dropped row by row too, so tune files recorded while they
+        // existed keep loading: their valid neighbours survive.
+        let text = "{\"tool\":\"hstencil-tune\",\"version\":4,\"plans\":[\
+                    {\"key\":\"star/r1/resident/f64/t1/spatial\",\"dispatch\":\"avx2+reuse\",\
+                    \"tile_rows\":128,\"tile_cols\":512,\"t_block\":4},\
+                    {\"key\":\"star/r1/resident/f32/t1/spatial\",\"dispatch\":\"avx512+reuse\",\
+                    \"tile_rows\":128,\"tile_cols\":512,\"t_block\":4},\
+                    {\"key\":\"box/r1/resident/f64/t1/spatial\",\"dispatch\":\"scalar\",\
+                    \"tile_rows\":128,\"tile_cols\":512,\"t_block\":4}]}";
+        let set = PlanSet::parse(text).expect("removed labels must not fail the document");
+        assert_eq!(set.len(), 1, "only the valid row survives");
+        assert!(set.get("star/r1/resident/f64/t1/spatial").is_none());
+        assert!(set.get("star/r1/resident/f32/t1/spatial").is_none());
+        assert_eq!(
+            set.get("box/r1/resident/f64/t1/spatial")
+                .map(|p| p.dispatch),
+            Some(Dispatch::Scalar)
+        );
     }
 
     #[test]

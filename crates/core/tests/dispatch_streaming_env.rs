@@ -26,7 +26,6 @@ fn in_child(test: &str, env: &[(&str, &str)]) -> bool {
         .args([test, "--exact", "--test-threads=1"])
         .env(CHILD, "1")
         .env_remove("HSTENCIL_DISPATCH")
-        .env_remove("HSTENCIL_KERNEL")
         .env_remove("HSTENCIL_TUNE")
         .envs(env.iter().copied())
         .output()

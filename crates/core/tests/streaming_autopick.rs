@@ -25,7 +25,6 @@ const F32_N: usize = 768;
 
 fn no_pins_no_plans() {
     std::env::remove_var("HSTENCIL_DISPATCH");
-    std::env::remove_var("HSTENCIL_KERNEL");
     let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-tune-plans.json");
     std::env::set_var("HSTENCIL_TUNE", missing);
 }

@@ -27,7 +27,6 @@ const SWEEPS: usize = 4;
 #[test]
 fn served_streaming_multi_sweep_jobs_are_bit_identical_to_direct_execution() {
     std::env::remove_var("HSTENCIL_DISPATCH");
-    std::env::remove_var("HSTENCIL_KERNEL");
     let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-tune-plans.json");
     std::env::set_var("HSTENCIL_TUNE", missing);
 

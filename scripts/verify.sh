@@ -105,14 +105,9 @@ fi
 # automatically on hosts with fewer than 4 cores. The f32 gate asks
 # only that one noisy f32 sample not be slower than f64 at the
 # in-cache size; it skips with a notice if the artifact has no f32
-# rows at 256². The reuse gate asks only that one noisy in-cache
-# sample of the shifted-register family (ISSUE 9: avx2+reuse /
-# avx512+reuse / hybrid8x8) not collapse below 0.5x of the best
-# per-tap-load kernel — loosened from 0.9 at the ISSUE-10 refresh for
-# the same reason as the baseline bound below; it skips with a notice
-# on hosts where the native2d_reuse group did not run (no AVX2). The
-# tempvec gate asks
-# only that one noisy 8-sweep wavefront sample at 2048² (in the L2/L3
+# rows at 256². The reuse gate only guards hybrid8x8's in-cache
+# operand synthesis against collapse (DESIGN.md §14). The tempvec gate
+# asks only that one noisy 8-sweep wavefront sample at 2048² (in the L2/L3
 # shoulder) not collapse below 0.9x of the trapezoid pipeline; it
 # skips with a notice where the native2d_tempvec group did not run.
 cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SMOKE_JSON" --gate-temporal=2048:0.91 --gate-hybrid=4096:0.4 --gate-threads=4096:4:0.5 --gate-f32=256:1.0 --gate-reuse=256:0.5 --gate-tempvec=2048:8:0.9
@@ -131,19 +126,8 @@ cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$S
 # (ISSUE 7) holds the recorded in-cache 256² star2d5p f32 throughput
 # at >= 1.3x the f64 ratio in the same artifact; it skips with a
 # notice on baselines recorded before the dtype axis existed. The
-# reuse gate (ISSUE 9) holds the recorded in-cache 256² star2d5p f64
-# best-of-reuse-family median against the best per-tap-load kernel's —
-# re-pinned at 0.7 at the ISSUE-10 baseline refresh (was 1.05): the
-# ratio races hybrid8x8's in-cache draw against the avx512 kernel's,
-# and where the ISSUE-9 artifact caught avx512 at 61.8 µs this
-# refresh reads it at 44–53 µs across repeated runs with hybrid8x8
-# steady (57.6 → 59.8 µs) — both kernels untouched since ISSUE 9, so
-# like the ISSUE-6 temporal re-pin this records the same code under a
-# different in-cache reading, and the bound now only catches the
-# collapse class. The out-of-cache family win is unchanged (1.15x at
-# 4096², the hybrid traffic story — EXPERIMENTS.md). It skips with a
-# notice on baselines without reuse rows. The
-# tempvec gate (ISSUE 10) holds the recorded single-thread 8-sweep
+# reuse gate is a collapse guard: its in-cache hybrid8x8 reading races
+# the avx512 kernel's (DESIGN.md §14). The tempvec gate (ISSUE 10) holds the recorded single-thread 8-sweep
 # 4096² star2d5p time-skewed wavefront median at >= 1.05x the
 # trapezoid pipeline's on the same point — the acceptance bound for
 # temporal vectorization, where each loaded tile is advanced several
