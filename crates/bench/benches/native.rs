@@ -13,10 +13,14 @@
 //!
 //! Two element-genericity groups ride along (DESIGN.md §12):
 //! `native2d_f32` times the best schedule at f32 vs f64 (the in-cache
-//! ratio is gated by `check_bench_json --gate-f32`), and
-//! `native2d_avx512` times the AVX-512 trait instances against the
-//! AVX2 ones at both element widths — recorded only on hosts with
-//! `avx512f`, absent (with a printed notice) elsewhere.
+//! ratio is the `f32_star2d5p_256_t1` gate), and `native2d_avx512`
+//! times the AVX-512 trait instances against the AVX2 ones at both
+//! element widths — recorded only on hosts with `avx512f`, listed in
+//! the artifact's `skipped_groups` elsewhere.
+//!
+//! Every ratio entry of the gate table (`crates/bench/gates.txt`,
+//! DESIGN.md §16) is evaluated over the recorded rows and written as a
+//! `speedup_<name>` field.
 //!
 //! Writes `BENCH_native.json` at the repository root via the testkit
 //! JSON writer; `--out=PATH` redirects the artifact (note the `=` form —
@@ -29,6 +33,7 @@
 //! repo-root file — regenerate it (full mode, no `--out=`) on the same
 //! machine when touching the native executor.
 
+use hstencil_bench::gates;
 use hstencil_bench::runner::{workload_2d, workload_3d};
 use hstencil_core::native::{self, baseline, pool::ThreadPool};
 use hstencil_core::{
@@ -348,73 +353,11 @@ fn bench_3d(
     }
 }
 
-fn median_of(
-    rows: &[Row],
-    stencil: &str,
-    size: usize,
-    sweeps: usize,
-    threads: usize,
-    kernel: &str,
-) -> Option<f64> {
-    rows.iter()
-        .find(|r| {
-            r.stencil == stencil
-                && r.size == size
-                && r.sweeps == sweeps
-                && r.threads == threads
-                && r.kernel == kernel
-                && r.dtype == "f64"
-        })
-        .map(|r| r.summary.median)
-}
-
-/// Best (smallest) median across every row matching the config — the
-/// hybrid group and the main group both record the avx2+fma kernel at
-/// the acceptance size, and a ratio should compare best against best.
-/// Ratios are always within one dtype.
-fn min_median_of(
-    rows: &[Row],
-    stencil: &str,
-    size: usize,
-    sweeps: usize,
-    threads: usize,
-    kernel: &str,
-    dtype: &str,
-) -> Option<f64> {
-    rows.iter()
-        .filter(|r| {
-            r.stencil == stencil
-                && r.size == size
-                && r.sweeps == sweeps
-                && r.threads == threads
-                && r.kernel == kernel
-                && r.dtype == dtype
-        })
-        .map(|r| r.summary.median)
-        .min_by(f64::total_cmp)
-}
-
-/// Best median at a (size, dtype) across every non-seed kernel — the
-/// f32-vs-f64 ratio compares the best schedule each element type has.
-fn min_median_any_kernel(rows: &[Row], stencil: &str, size: usize, dtype: &str) -> Option<f64> {
-    rows.iter()
-        .filter(|r| {
-            r.stencil == stencil
-                && r.size == size
-                && r.sweeps == 1
-                && r.threads == 1
-                && r.kernel != "seed"
-                && r.dtype == dtype
-        })
-        .map(|r| r.summary.median)
-        .min_by(f64::total_cmp)
-}
-
 /// The saturated-machine tier's lane counts: 1, 2, 4 and every core the
 /// host has, deduped and sorted. Counts above `host_threads` are kept —
 /// an oversubscribed curve is still a real measurement (flat-to-negative
-/// scaling), and the `--gate-threads` gate skips ratios the recording
-/// host could not genuinely parallelize.
+/// scaling), and the `threads_star2d5p_4096_t4` gate skips ratios the
+/// recording host could not genuinely parallelize.
 fn thread_counts() -> Vec<usize> {
     let max = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -560,8 +503,7 @@ fn main() {
     // f32 vs f64 (DESIGN.md §12): the same best schedule at half the
     // element width — in-cache the vector kernels retire twice the
     // lanes per FMA, out-of-cache the sweep moves half the bytes. The
-    // acceptance gate (`check_bench_json --gate-f32`) pins the in-cache
-    // 256² ratio.
+    // `f32_star2d5p_256_t1` gate pins the in-cache 256² ratio.
     for size in [256usize, 4096] {
         let (warm, n) = if size <= 256 {
             (warm_in, n_in)
@@ -593,45 +535,9 @@ fn main() {
             n,
         );
     }
-    // In-register operand synthesis vs shifted loads (DESIGN.md §10):
-    // the hybrid 8×8 kernel, whose inner-tap MLA synthesizes shifted
-    // operands in-register, against the detected per-tap-load kernel.
-    // The in-cache 256² f64 point is the `--gate-reuse` acceptance
-    // ratio. The standalone reuse kernels that used to share this
-    // group were removed (DESIGN.md §14); the group name is kept so
-    // recorded trajectories stay diffable.
-    if Dispatch::avx2_available() {
-        let reuse_kernels = [
-            Kernel::Forced(Dispatch::detect()),
-            Kernel::Forced(Dispatch::Hybrid),
-        ];
-        for size in [256usize, 4096] {
-            let (warm, n) = if size <= 256 {
-                (warm_in, n_in)
-            } else {
-                (warm_out, n_out)
-            };
-            for &kernel in &reuse_kernels {
-                bench_2d_e::<f64>(
-                    &h,
-                    "native2d_reuse",
-                    &mut rows,
-                    &pool,
-                    &star,
-                    size,
-                    1,
-                    kernel,
-                    warm,
-                    n,
-                );
-            }
-        }
-    } else {
-        println!("native2d_reuse group skipped: host lacks AVX2");
-    }
     // AVX-512 vs AVX2 at both element widths. Recorded only where the
-    // host has avx512f — the group is absent (with a notice) elsewhere,
-    // and gates over it skip rather than fail.
+    // host has avx512f.
+    let mut skipped_groups = Vec::new();
     if Dispatch::avx512_available() {
         for size in [256usize, 4096] {
             let (warm, n) = if size <= 256 {
@@ -671,6 +577,7 @@ fn main() {
         }
     } else {
         println!("native2d_avx512 group skipped: host lacks avx512f");
+        skipped_groups.push("native2d_avx512");
     }
     // Multi-sweep (sweeps=8): naive ping-pong vs the temporal trapezoid
     // pipeline, in-cache through out-of-cache (the acceptance case is
@@ -703,9 +610,8 @@ fn main() {
     // at the multi-sweep acceptance shapes (its `temporal` denominators
     // are the native2d_sweeps rows above — same call shape, only the
     // dispatch differs). Gated on AVX2: the wavefront's payoff flows
-    // through its vector bodies, so scalar hosts skip with a notice
-    // and the `--gate-tempvec` checks over the group skip rather than
-    // fail.
+    // through its vector bodies, so scalar hosts list the group in
+    // `skipped_groups` and the tempvec gates skip rather than fail.
     if Dispatch::avx2_available() {
         for size in [2048usize, 4096] {
             bench_multisweep(
@@ -724,6 +630,7 @@ fn main() {
         }
     } else {
         println!("native2d_tempvec group skipped: host lacks AVX2");
+        skipped_groups.push("native2d_tempvec");
     }
 
     // 3-D (heat3d): in-cache-ish and out-of-cache.
@@ -736,8 +643,7 @@ fn main() {
     // executor path — single-sweep best kernel (star + box), the hybrid
     // 8×8 kernel (its staged-NT store policy is lane-aware), the
     // temporal/naive multi-sweep pair, and the 3-D parallel path. The
-    // t1 points double as the scaling denominators in `check_bench_json
-    // --gate-threads`.
+    // t1 points double as the `threads_star2d5p_4096_t4` denominators.
     for &t in &thread_counts() {
         for spec in [&star, &boxs] {
             bench_2d(
@@ -783,138 +689,10 @@ fn main() {
         bench_3d(&h, &mut rows, &pool, &heat3, 192, t, warm_out, n_out);
     }
 
-    let best = Dispatch::detect().label();
-    let speedup = match (
-        median_of(&rows, "star2d5p", 4096, 1, 1, "seed"),
-        median_of(&rows, "star2d5p", 4096, 1, 1, best),
-    ) {
-        (Some(seed), Some(v2)) if v2 > 0.0 => Some(seed / v2),
-        _ => None,
-    };
-    if let Some(s) = speedup {
-        println!("speedup star2d5p/4096/t1 {best} vs seed: {s:.2}x");
-    }
-    let temporal_speedup = |size: usize| match (
-        median_of(&rows, "star2d5p", size, SWEEPS, 1, "naive"),
-        median_of(&rows, "star2d5p", size, SWEEPS, 1, "temporal"),
-    ) {
-        (Some(naive), Some(tmp)) if tmp > 0.0 => Some(naive / tmp),
-        _ => None,
-    };
-    let (t2048, t4096) = (temporal_speedup(2048), temporal_speedup(4096));
-    for (size, s) in [(2048, t2048), (4096, t4096)] {
-        if let Some(s) = s {
-            println!("speedup star2d5p/{size}/s{SWEEPS} temporal vs naive: {s:.2}x");
-        }
-    }
-    // Tempvec wavefront vs the spatial trapezoid pipeline at the same
-    // shapes (the `--gate-tempvec` acceptance ratios in verify.sh).
-    let tempvec_speedup = |size: usize| match (
-        median_of(&rows, "star2d5p", size, SWEEPS, 1, "temporal"),
-        median_of(&rows, "star2d5p", size, SWEEPS, 1, "tempvec"),
-    ) {
-        (Some(tmp), Some(tv)) if tv > 0.0 => Some(tmp / tv),
-        _ => None,
-    };
-    let (tv2048, tv4096) = (tempvec_speedup(2048), tempvec_speedup(4096));
-    for (size, s) in [(2048, tv2048), (4096, tv4096)] {
-        if let Some(s) = s {
-            println!("speedup star2d5p/{size}/s{SWEEPS}/t1 tempvec vs temporal: {s:.2}x");
-        }
-    }
-    // The acceptance ratio: hybrid 8×8 vs the best canonical kernel on
-    // the out-of-cache single-sweep case (gated in verify.sh).
-    let hybrid_speedup = match (
-        min_median_of(&rows, "star2d5p", 4096, 1, 1, best, "f64"),
-        min_median_of(&rows, "star2d5p", 4096, 1, 1, "hybrid8x8", "f64"),
-    ) {
-        (Some(canon), Some(hyb)) if hyb > 0.0 => Some(canon / hyb),
-        _ => None,
-    };
-    if let Some(s) = hybrid_speedup {
-        println!("speedup star2d5p/4096/t1 hybrid8x8 vs {best}: {s:.2}x");
-    }
-    // f32-vs-f64 ratio per size (best non-seed kernel each side; the
-    // in-cache point is the `--gate-f32` acceptance ratio).
-    let f32_speedup = |size: usize| match (
-        min_median_any_kernel(&rows, "star2d5p", size, "f64"),
-        min_median_any_kernel(&rows, "star2d5p", size, "f32"),
-    ) {
-        (Some(w), Some(n)) if n > 0.0 => Some(w / n),
-        _ => None,
-    };
-    let (f32_256, f32_4096) = (f32_speedup(256), f32_speedup(4096));
-    for (size, s) in [(256, f32_256), (4096, f32_4096)] {
-        if let Some(s) = s {
-            println!("speedup star2d5p/{size}/t1 f32 vs f64: {s:.2}x");
-        }
-    }
-    // Reuse-family vs shifted-load-family ratio: best kernel whose
-    // operands are synthesized in-register (the hybrid 8×8, whose
-    // inner MLA synthesizes shifts) against the best per-tap-load
-    // kernel, f64 star2d5p t1. The in-cache point is the
-    // `--gate-reuse` acceptance ratio in verify.sh.
-    let family_min = |size: usize, reuse_family: bool| {
-        rows.iter()
-            .filter(|r| {
-                r.stencil == "star2d5p"
-                    && r.size == size
-                    && r.sweeps == 1
-                    && r.threads == 1
-                    && r.dtype == "f64"
-                    && r.kernel != "seed"
-                    && (r.kernel == "hybrid8x8") == reuse_family
-            })
-            .map(|r| r.summary.median)
-            .min_by(f64::total_cmp)
-    };
-    let reuse_speedup = |size: usize| match (family_min(size, false), family_min(size, true)) {
-        (Some(plain), Some(reused)) if reused > 0.0 => Some(plain / reused),
-        _ => None,
-    };
-    let (reuse_256, reuse_4096) = (reuse_speedup(256), reuse_speedup(4096));
-    for (size, s) in [(256, reuse_256), (4096, reuse_4096)] {
-        if let Some(s) = s {
-            println!("speedup star2d5p/{size}/t1 reuse family vs shifted-load: {s:.2}x");
-        }
-    }
-    // avx512-vs-avx2 ratio per (size, dtype), where recorded.
-    let avx512_speedup = |size: usize, dtype: &str| match (
-        min_median_of(&rows, "star2d5p", size, 1, 1, best, dtype),
-        min_median_of(&rows, "star2d5p", size, 1, 1, "avx512", dtype),
-    ) {
-        (Some(canon), Some(wide)) if wide > 0.0 => Some(canon / wide),
-        _ => None,
-    };
-    let avx512_256 = avx512_speedup(256, "f64");
-    let avx512_4096 = avx512_speedup(4096, "f64");
-    for size in [256usize, 4096] {
-        for dtype in ["f64", "f32"] {
-            if let Some(s) = avx512_speedup(size, dtype) {
-                println!("speedup star2d5p/{size}/t1/{dtype} avx512 vs {best}: {s:.2}x");
-            }
-        }
-    }
-    // Scaling summary: best-kernel wall-clock ratio t-vs-1 on the
-    // out-of-cache acceptance case (the same ratio `check_bench_json
-    // --gate-threads` recomputes from the JSON).
-    for &t in thread_counts().iter().filter(|&&t| t > 1) {
-        let ratio = match (
-            min_median_of(&rows, "star2d5p", 4096, 1, 1, best, "f64"),
-            min_median_of(&rows, "star2d5p", 4096, 1, t, best, "f64"),
-        ) {
-            (Some(one), Some(tn)) if tn > 0.0 => Some(one / tn),
-            _ => None,
-        };
-        if let Some(s) = ratio {
-            println!("scaling star2d5p/4096 {best} t{t} vs t1: {s:.2}x");
-        }
-    }
-
-    let doc = Json::object([
+    let mut doc = Json::object([
         ("bench", "native_executor_v2".to_json()),
         ("smoke", smoke.to_json()),
-        ("dispatch", best.to_json()),
+        ("dispatch", Dispatch::detect().label().to_json()),
         ("avx512_available", Dispatch::avx512_available().to_json()),
         (
             "host_threads",
@@ -924,20 +702,26 @@ fn main() {
                 .to_json(),
         ),
         ("pool_threads_spawned", pool.spawned_threads().to_json()),
+        (
+            "skipped_groups",
+            Json::array(skipped_groups.iter().map(ToJson::to_json)),
+        ),
         ("results", Json::array(rows.iter().map(Row::to_json))),
-        ("speedup_star2d5p_4096_t1_vs_seed", speedup.to_json()),
-        ("speedup_temporal_star2d5p_2048_s8", t2048.to_json()),
-        ("speedup_temporal_star2d5p_4096_s8", t4096.to_json()),
-        ("speedup_tempvec_star2d5p_2048_s8_t1", tv2048.to_json()),
-        ("speedup_tempvec_star2d5p_4096_s8_t1", tv4096.to_json()),
-        ("speedup_hybrid_star2d5p_4096_t1", hybrid_speedup.to_json()),
-        ("speedup_f32_star2d5p_256_t1", f32_256.to_json()),
-        ("speedup_f32_star2d5p_4096_t1", f32_4096.to_json()),
-        ("speedup_avx512_star2d5p_256_t1", avx512_256.to_json()),
-        ("speedup_avx512_star2d5p_4096_t1", avx512_4096.to_json()),
-        ("speedup_reuse_star2d5p_256_t1", reuse_256.to_json()),
-        ("speedup_reuse_star2d5p_4096_t1", reuse_4096.to_json()),
     ]);
+    // A filtered run records too few rows to judge and gets no ratios.
+    let artifact = gates::Artifact::from_json(&doc);
+    if let Err(e) = &artifact {
+        println!("no speedup_* fields: {e}");
+    }
+    if let (Ok(artifact), Json::Obj(fields)) = (&artifact, &mut doc) {
+        for entry in gates::table().iter().filter(|e| e.applies_to(artifact)) {
+            let ratio = entry.reading(artifact).ok();
+            if let Some(r) = ratio {
+                println!("speedup_{}: {r:.2}x", entry.name);
+            }
+            fields.push((format!("speedup_{}", entry.name), ratio.to_json()));
+        }
+    }
 
     // The trajectory file lives at the repo root, independent of the
     // cwd cargo gives bench binaries; `--out=PATH` redirects it (used by

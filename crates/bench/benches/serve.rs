@@ -9,7 +9,7 @@
 //!
 //! * `mixed_open_loop` — the six standard job classes arriving as a
 //!   Poisson process ([`Pace::Wall`]), the latency-under-offered-load
-//!   number the `--gate-latency` acceptance gate pins.
+//!   number the `serve_p99_ms` gate bounds (with every scenario's p99).
 //! * `uniform_burst` — a single job class submitted back-to-back
 //!   ([`Pace::Immediate`]) into a queue sized to take the whole burst,
 //!   the saturation case where batching by plan key amortizes dispatch

@@ -38,6 +38,7 @@
 //! Exit codes: 0 ok/report-only, 1 regression (with
 //! `--fail-on-regression`) or malformed input, 2 unreadable file.
 
+use hstencil_bench::gates;
 use hstencil_testkit::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,52 +80,38 @@ fn load(path: &str) -> Artifact {
         Ok(t) => t,
         Err(e) => fail(2, format!("cannot read {path}: {e}")),
     };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => fail(1, format!("{path}: {e}")),
-    };
-    let results = match doc.get("results").and_then(Json::as_array) {
-        Some(r) => r,
-        None => fail(1, format!("{path}: 'results' is not an array")),
-    };
+    let rows = Json::parse(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| gates::rows(&doc))
+        .unwrap_or_else(|e| fail(1, format!("{path}: {e}")));
     let mut cases = BTreeMap::new();
     let mut groups = BTreeSet::new();
-    for (i, row) in results.iter().enumerate() {
-        if let Some(group) = row.get("group").and_then(Json::as_str) {
-            groups.insert(group.to_string());
-        }
-        let field = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| fail(1, format!("{path}: results[{i}] lacks numeric '{key}'")))
-        };
-        let stencil = row
-            .get("stencil")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| fail(1, format!("{path}: results[{i}] lacks 'stencil'")));
-        let kernel = row.get("kernel").and_then(Json::as_str).unwrap_or("-");
-        // Rows recorded before the dtype axis existed are all f64; f64
-        // keeps the bare key so old and new artifacts stay comparable,
-        // other dtypes get their own cases instead of colliding.
-        let dtype = row.get("dtype").and_then(Json::as_str).unwrap_or("f64");
-        let dtype_seg = if dtype == "f64" {
+    for r in rows {
+        groups.extend(r.group);
+        // f64 keeps the bare key so old and new artifacts stay
+        // comparable; other dtypes get their own cases.
+        let dtype_seg = if r.dtype == "f64" {
             String::new()
         } else {
-            format!("/{dtype}")
+            format!("/{}", r.dtype)
         };
         let key = format!(
-            "{stencil}/{}{dtype_seg}/s{}/t{}/{kernel}",
-            field("size"),
-            field("sweeps"),
-            field("threads")
+            "{}/{}{dtype_seg}/s{}/t{}/{}",
+            r.stencil, r.size, r.sweeps, r.threads, r.kernel
         );
-        let median = field("median_s");
         cases
             .entry(key)
-            .and_modify(|m: &mut f64| *m = m.min(median))
-            .or_insert(median);
+            .and_modify(|m: &mut f64| *m = m.min(r.median_s))
+            .or_insert(r.median_s);
     }
     Artifact { cases, groups }
+}
+
+/// `--threshold=T`: a finite ratio with 0 < T <= 1. NaN would pass every
+/// regression (`ratio < NaN` is never true), so it is rejected with the
+/// rest.
+fn parse_threshold(text: &str) -> Option<f64> {
+    text.parse::<f64>().ok().filter(|t| *t > 0.0 && *t <= 1.0)
 }
 
 /// `(is_star, dims, radius)` parsed from the bench preset naming
@@ -211,14 +198,20 @@ fn annotate(key: &str) -> String {
 }
 
 fn main() {
+    const USAGE: &str =
+        "usage: bench_diff OLD.json NEW.json [--threshold=0.90] [--fail-on-regression]";
     let mut paths = Vec::new();
     let mut threshold = 0.90f64;
     let mut fail_on_regression = false;
     for arg in std::env::args().skip(1) {
         if let Some(t) = arg.strip_prefix("--threshold=") {
-            threshold = t
-                .parse()
-                .unwrap_or_else(|_| fail(1, format!("bad --threshold value '{t}'")));
+            let bad = || {
+                fail(
+                    1,
+                    format!("bad --threshold '{t}' (want 0 < T <= 1); {USAGE}"),
+                )
+            };
+            threshold = parse_threshold(t).unwrap_or_else(bad);
         } else if arg == "--fail-on-regression" {
             fail_on_regression = true;
         } else if arg.starts_with("--") {
@@ -228,10 +221,7 @@ fn main() {
         }
     }
     if paths.len() != 2 {
-        fail(
-            1,
-            "usage: bench_diff OLD.json NEW.json [--threshold=0.90] [--fail-on-regression]".into(),
-        );
+        fail(1, USAGE.into());
     }
     let (old_art, new_art) = (load(&paths[0]), load(&paths[1]));
     for notice in group_notices(&old_art.groups, &new_art.groups) {
@@ -390,6 +380,15 @@ mod tests {
         // artifacts) — produce no notices at all.
         assert!(group_notices(&old, &old).is_empty());
         assert!(group_notices(&set(&[]), &set(&[])).is_empty());
+    }
+
+    #[test]
+    fn threshold_accepts_only_a_finite_ratio_in_zero_to_one() {
+        assert_eq!(parse_threshold("0.90"), Some(0.9));
+        assert_eq!(parse_threshold("1"), Some(1.0));
+        for bad in ["nan", "NaN", "0", "-0.5", "inf", "1.5", "", "x"] {
+            assert_eq!(parse_threshold(bad), None, "{bad}");
+        }
     }
 
     #[test]

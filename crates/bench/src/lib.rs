@@ -7,6 +7,7 @@
 
 pub mod experiments;
 pub mod fmt;
+pub mod gates;
 pub mod runner;
 
 pub use fmt::Table;

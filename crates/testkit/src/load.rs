@@ -12,7 +12,7 @@
 //! [`LatencyStats`] complements the [`crate::bench::Summary`] used by the
 //! throughput benches with the *exact* order statistics a latency gate
 //! needs (p50/p90/p99/max over every completed job, not a sampled
-//! median), matching the `check_bench_json --gate-latency` contract.
+//! median), matching the `serve_p99_ms` gate in `crates/bench/gates.txt`.
 
 use crate::rng::{Rng, SplitMix64, Xoshiro256};
 

@@ -9,8 +9,9 @@ WORKSPACE_CRATES="hstencil hstencil-testkit hstencil-core hstencil-serve hstenci
 
 # The gates below change meaning with the host's ISA: the avx512
 # conformance variants and bench group register only where avx512f
-# exists, and check_bench_json skips width gates whose rows are absent.
-# Print what this host has so a log line explains any skip notices.
+# exists, and check_bench_json skips gates over the bench groups an
+# artifact lists in `skipped_groups`. Print what this host has so a log
+# line explains any skip notices.
 host_features() {
     local flags have=""
     flags="$(grep -m1 '^flags' /proc/cpuinfo 2>/dev/null || true)"
@@ -92,60 +93,27 @@ if [ ! -f "$SMOKE_JSON" ]; then
     echo "ERROR: bench did not produce $SMOKE_JSON" >&2
     exit 1
 fi
-# Parse the artifact with the testkit JSON reader and check every
-# configuration carries median/p10/p90 + throughput fields. The smoke
-# gates (temporal 2048² >= 0.91, hybrid 4096² >= 0.4) are deliberately
-# loose — one sample on a noisy shared host. The hybrid bound is the
-# loosest: its staged non-temporal store path swings with co-tenant
-# DRAM traffic (measured 1.36-1.45x on a quiet bus, ~0.75x when
-# neighbors saturate it — DESIGN.md §10), so 0.4 only catches the
-# catastrophic regression class (e.g. write-combining thrash, ~0.1x).
-# The threads gate is equally loose in smoke (4 lanes must merely not
-# be catastrophically slower than 1 on one noisy sample) and skips
-# automatically on hosts with fewer than 4 cores. The f32 gate asks
-# only that one noisy f32 sample not be slower than f64 at the
-# in-cache size; it skips with a notice if the artifact has no f32
-# rows at 256². The reuse gate only guards hybrid8x8's in-cache
-# operand synthesis against collapse (DESIGN.md §14). The tempvec gate
-# asks only that one noisy 8-sweep wavefront sample at 2048² (in the L2/L3
-# shoulder) not collapse below 0.9x of the trapezoid pipeline; it
-# skips with a notice where the native2d_tempvec group did not run.
-cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SMOKE_JSON" --gate-temporal=2048:0.91 --gate-hybrid=4096:0.4 --gate-threads=4096:4:0.5 --gate-f32=256:1.0 --gate-reuse=256:0.5 --gate-tempvec=2048:8:0.9
-# The committed baseline must still exist, parse, and keep the recorded
-# speedups on the out-of-cache acceptance cases: the temporal fusion
-# gate (ISSUE 4 — re-pinned at the ISSUE-6 baseline refresh: the
-# recorded ratio is 1.20x on today's quiet DRAM bus vs 1.55x under the
-# bus contention the ISSUE-4 baseline was recorded under; the naive
-# ping-pong side is the more DRAM-bound of the pair, so the ratio
-# tracks bus pressure — verified unchanged-code at both readings), the
-# hybrid 8x8 register-tile kernel gate (ISSUE 5, >= 1.10x over
-# avx2+fma on single-sweep 4096² star2d5p), and the multi-core scaling
-# gate (ISSUE 6, >= 1.6x at 4 threads vs 1 on the same case — strict
-# only when the baseline was recorded on a host that actually has
-# >= 4 cores; check_bench_json skips it otherwise). The f32 width gate
-# (ISSUE 7) holds the recorded in-cache 256² star2d5p f32 throughput
-# at >= 1.3x the f64 ratio in the same artifact; it skips with a
-# notice on baselines recorded before the dtype axis existed. The
-# reuse gate is a collapse guard: its in-cache hybrid8x8 reading races
-# the avx512 kernel's (DESIGN.md §14). The tempvec gate (ISSUE 10) holds the recorded single-thread 8-sweep
-# 4096² star2d5p time-skewed wavefront median at >= 1.05x the
-# trapezoid pipeline's on the same point — the acceptance bound for
-# temporal vectorization, where each loaded tile is advanced several
-# time levels per DRAM round-trip.
+# check_bench_json parses the artifact with the testkit JSON reader,
+# checks its schema, and judges it against every entry of the gate table
+# crates/bench/gates.txt that is bounded in the artifact's own tier (its
+# `smoke` field): the loose smoke bounds here, the acceptance bounds on
+# the committed baseline below. Each bound's reason and reading history
+# is the table's last column (DESIGN.md §16).
+cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SMOKE_JSON"
+# The committed baseline must still exist, parse, and hold the recorded
+# speedups at the baseline-tier bounds.
 if [ ! -f BENCH_native.json ]; then
     echo "ERROR: recorded baseline BENCH_native.json is missing" >&2
     exit 1
 fi
-cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- BENCH_native.json --gate-temporal=4096:1.15 --gate-hybrid=4096:1.10 --gate-threads=4096:4:1.6 --gate-f32=256:1.3 --gate-reuse=256:0.7 --gate-tempvec=4096:8:1.05
+cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- BENCH_native.json
 
 echo "==> serve load-generator bench (smoke tier)"
-# Seeded open-loop scenario against the job server (ISSUE 8): the smoke
-# tier offers a reduced job stream and gates only that every scenario's
-# p99 stays under a deliberately loose 2000 ms — on this shared 1-core
-# host a single bad scheduling quantum can cost tens of ms, so the
-# smoke bound only catches the stall/deadlock regression class. Smoke
-# numbers go to a scratch path for the same reason as the native bench:
-# the repo-root BENCH_serve.json is the recorded latency baseline.
+# Seeded open-loop scenario against the job server: every scenario's p99
+# is held to the `serve_p99_ms` entry of crates/bench/gates.txt (loose in
+# the smoke tier). Smoke numbers go to a scratch path for the same reason
+# as the native bench: the repo-root BENCH_serve.json is the recorded
+# latency baseline.
 SERVE_SMOKE_JSON="$PWD/target/BENCH_serve.smoke.json"
 rm -f "$SERVE_SMOKE_JSON"
 cargo bench -p hstencil-bench --bench serve --offline -- --smoke "--out=$SERVE_SMOKE_JSON"
@@ -153,17 +121,12 @@ if [ ! -f "$SERVE_SMOKE_JSON" ]; then
     echo "ERROR: serve bench did not produce $SERVE_SMOKE_JSON" >&2
     exit 1
 fi
-cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SERVE_SMOKE_JSON" --gate-latency=2000
-# The committed latency baseline must exist, parse, and hold every
-# scenario's p99 under 250 ms (recorded worst: ~12 ms for the uniform
-# burst on a 1-core host — the 20x headroom absorbs co-tenant noise
-# while still catching the real regression class: lost batching,
-# executor stalls, or queueing collapse all push p99 past seconds).
+cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- "$SERVE_SMOKE_JSON"
 if [ ! -f BENCH_serve.json ]; then
     echo "ERROR: recorded latency baseline BENCH_serve.json is missing" >&2
     exit 1
 fi
-cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- BENCH_serve.json --gate-latency=250
+cargo run -q --release --offline -p hstencil-bench --bin check_bench_json -- BENCH_serve.json
 
 echo "==> perf diff vs committed baseline (report-only)"
 # Smoke samples are too noisy to gate on; this is a human-readable
