@@ -9,8 +9,8 @@
 //! | instance      | `f64`                | `f32`                 |
 //! |---------------|----------------------|-----------------------|
 //! | [`ScalarTile`]| canonical FMA chain  | canonical FMA chain   |
-//! | [`Avx2Tile`]  | 2×8 cols, 4-lane ymm | 2×16 cols, 8-lane ymm |
-//! | [`Avx512Tile`]| 2×16 cols, 8-lane zmm| 2×32 cols, 16-lane zmm|
+//! | [`Avx2Tile`]  | lane body, `__m256d` | lane body, `__m256`   |
+//! | [`Avx512Tile`]| lane body, `__m512d` | lane body, `__m512`   |
 //! | [`HybridTile`]| 8×8 Algorithm-2 tile | scalar chain + staged NT |
 //!
 //! # The bit-identity contract
@@ -26,15 +26,17 @@
 //! inner partial) and is ULP-bounded instead, exactly as before the
 //! trait existed.
 //!
-//! # Why associated kernel types instead of `impl<E> TileKernel<E>`
+//! # One lane body, dtype and ISA as type parameters
 //!
-//! Stable Rust has no specialization, so one generic impl per backend
-//! could not give `f64` and `f32` different intrinsic bodies.
-//! [`NativeElement`] names the four backend instances per element type
-//! (`KScalar`/`KAvx2`/`KAvx512`/`KHybrid`);
-//! generic drivers pick an instance through those associated types and
-//! monomorphize to exactly the hand-written code that existed before
-//! the refactor.
+//! The AVX2 and AVX-512 instances are one generic impl each over
+//! [`NativeElement`]: the element type names its 256- and 512-bit
+//! [`Lanes`] register (`__m256d`/`__m256`, `__m512d`/`__m512`), and both
+//! instances run the same lane body (`kernel2d`) through an entry point
+//! that enables the instance's target features. [`NativeElement`] also
+//! names the four backend instances per element type
+//! (`KScalar`/`KAvx2`/`KAvx512`/`KHybrid`), because stable Rust has no
+//! specialization to give the hybrid instance different `f64` and `f32`
+//! schedules from one impl.
 
 use super::kernel2d;
 use super::kernel3d;
@@ -42,8 +44,127 @@ use super::prefetch::Prefetch;
 use super::{hybrid, tile, Dispatch};
 use crate::element::Element;
 
-pub use super::kernel2d::Taps2;
+pub use super::kernel2d::{ChainBody, Taps2};
 pub use super::kernel3d::Taps3;
+
+/// One SIMD register of [`Lanes::LANES`] elements: the five operations
+/// the lane body is written in. Implemented for `__m256d`, `__m256`
+/// (AVX2 + FMA) and `__m512d`, `__m512` (AVX-512F).
+///
+/// # Safety
+///
+/// Every method executes the register's ISA: callers must run on a
+/// host that has it, from a function compiled with it enabled (the
+/// methods are `#[inline(always)]` so they inline into that function),
+/// and `load`/`store` pointers must be valid for `LANES` elements.
+#[cfg(target_arch = "x86_64")]
+pub trait Lanes: Copy {
+    /// The element type of one lane.
+    type Elem: NativeElement;
+    /// Elements per register.
+    const LANES: usize;
+    /// All lanes `+0.0`.
+    ///
+    /// # Safety
+    /// See [`Lanes`].
+    unsafe fn zero() -> Self;
+    /// All lanes `c`.
+    ///
+    /// # Safety
+    /// See [`Lanes`].
+    unsafe fn splat(c: Self::Elem) -> Self;
+    /// Unaligned load of `LANES` elements.
+    ///
+    /// # Safety
+    /// See [`Lanes`].
+    unsafe fn load(p: *const Self::Elem) -> Self;
+    /// `self * v + acc` per lane, rounded once.
+    ///
+    /// # Safety
+    /// See [`Lanes`].
+    unsafe fn fmadd(self, v: Self, acc: Self) -> Self;
+    /// Unaligned store of `LANES` elements.
+    ///
+    /// # Safety
+    /// See [`Lanes`].
+    unsafe fn store(self, p: *mut Self::Elem);
+}
+
+/// Implements [`Lanes`] for one register type from its intrinsics.
+#[cfg(target_arch = "x86_64")]
+macro_rules! lanes {
+    ($reg:ident, $elem:ty, $n:expr, $zero:ident, $splat:ident, $load:ident, $fmadd:ident, $store:ident) => {
+        impl Lanes for std::arch::x86_64::$reg {
+            type Elem = $elem;
+            const LANES: usize = $n;
+            #[inline(always)]
+            unsafe fn zero() -> Self {
+                std::arch::x86_64::$zero()
+            }
+            #[inline(always)]
+            unsafe fn splat(c: $elem) -> Self {
+                std::arch::x86_64::$splat(c)
+            }
+            #[inline(always)]
+            unsafe fn load(p: *const $elem) -> Self {
+                std::arch::x86_64::$load(p)
+            }
+            #[inline(always)]
+            unsafe fn fmadd(self, v: Self, acc: Self) -> Self {
+                std::arch::x86_64::$fmadd(self, v, acc)
+            }
+            #[inline(always)]
+            unsafe fn store(self, p: *mut $elem) {
+                std::arch::x86_64::$store(p, self)
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+lanes!(
+    __m256d,
+    f64,
+    4,
+    _mm256_setzero_pd,
+    _mm256_set1_pd,
+    _mm256_loadu_pd,
+    _mm256_fmadd_pd,
+    _mm256_storeu_pd
+);
+#[cfg(target_arch = "x86_64")]
+lanes!(
+    __m256,
+    f32,
+    8,
+    _mm256_setzero_ps,
+    _mm256_set1_ps,
+    _mm256_loadu_ps,
+    _mm256_fmadd_ps,
+    _mm256_storeu_ps
+);
+#[cfg(target_arch = "x86_64")]
+lanes!(
+    __m512d,
+    f64,
+    8,
+    _mm512_setzero_pd,
+    _mm512_set1_pd,
+    _mm512_loadu_pd,
+    _mm512_fmadd_pd,
+    _mm512_storeu_pd
+);
+#[cfg(target_arch = "x86_64")]
+lanes!(
+    __m512,
+    f32,
+    16,
+    _mm512_setzero_ps,
+    _mm512_set1_ps,
+    _mm512_loadu_ps,
+    _mm512_fmadd_ps,
+    _mm512_storeu_ps
+);
 
 /// Register-tile geometry of one [`TileKernel`] instance, in elements:
 /// output rows per `execute` step (`tile_m`), vector lanes per
@@ -156,6 +277,7 @@ pub trait TileKernel<E: Element> {
         lanes: usize,
     ) {
         let _ = lanes; // only the hybrid store policy is lane-aware
+        assert_eq!(a_stride, taps.stride, "Taps2 built for another row stride");
         assert!(
             Self::available(),
             "{} dispatch forced on a machine without it",
@@ -213,6 +335,12 @@ pub trait NativeElement: Element {
     type KAvx512: TileKernel<Self>;
     /// The hybrid 8-row Algorithm-2 instance.
     type KHybrid: TileKernel<Self>;
+    /// The 256-bit register of this element type (AVX2 lane body).
+    #[cfg(target_arch = "x86_64")]
+    type Ymm: Lanes<Elem = Self>;
+    /// The 512-bit register of this element type (AVX-512 lane body).
+    #[cfg(target_arch = "x86_64")]
+    type Zmm: Lanes<Elem = Self>;
 
     /// Streams `n` elements from `src` to 32-byte-aligned `dst` with
     /// non-temporal stores (`n * size_of::<Self>()` must be a multiple
@@ -258,6 +386,10 @@ impl NativeElement for f64 {
     type KAvx2 = Avx2Tile;
     type KAvx512 = Avx512Tile;
     type KHybrid = HybridTile;
+    #[cfg(target_arch = "x86_64")]
+    type Ymm = std::arch::x86_64::__m256d;
+    #[cfg(target_arch = "x86_64")]
+    type Zmm = std::arch::x86_64::__m512d;
 
     #[cfg(target_arch = "x86_64")]
     unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize) {
@@ -288,6 +420,10 @@ impl NativeElement for f32 {
     type KAvx2 = Avx2Tile;
     type KAvx512 = Avx512Tile;
     type KHybrid = HybridTile;
+    #[cfg(target_arch = "x86_64")]
+    type Ymm = std::arch::x86_64::__m256;
+    #[cfg(target_arch = "x86_64")]
+    type Zmm = std::arch::x86_64::__m512;
 
     #[cfg(target_arch = "x86_64")]
     unsafe fn stream_chunk(dst: *mut Self, src: *const Self, n: usize) {
@@ -394,14 +530,14 @@ impl<E: Element> TileKernel<E> for ScalarTile {
 }
 
 #[cfg(target_arch = "x86_64")]
-impl TileKernel<f64> for Avx2Tile {
-    type Acc = std::arch::x86_64::__m256d;
+impl<E: NativeElement> TileKernel<E> for Avx2Tile {
+    type Acc = E::Ymm;
     const NAME: &'static str = "avx2+fma";
 
     fn config() -> Config {
         Config {
             tile_m: 2,
-            tile_n: 4,
+            tile_n: <E::Ymm as Lanes>::LANES,
             unroll: 2,
         }
     }
@@ -411,81 +547,44 @@ impl TileKernel<f64> for Avx2Tile {
     }
 
     unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
+        taps: &Taps2<E>,
+        a: &[E],
         base: isize,
         stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
         pf: Prefetch,
     ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx2::row_pair(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx2::row_single(taps, a, base, stride, dst0, pf),
-        }
+        let rows = 1 + dst1.is_some() as isize;
+        let hints = kernel2d::Hints::rows_2d(pf, taps.r, rows, stride);
+        kernel2d::rows_avx2::<E::Ymm>(&taps.chain, a, base, stride, dst0, dst1, hints);
     }
 
     unsafe fn execute3(
-        taps: &Taps3<f64>,
-        a: &[f64],
+        taps: &Taps3<E>,
+        a: &[E],
         base: isize,
-        plane_stride: isize,
+        _plane_stride: isize,
         stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
     ) {
-        match dst1 {
-            Some(d1) => kernel3d::avx2::row_pair(taps, a, base, plane_stride, stride, dst0, d1),
-            None => kernel3d::avx2::row_single(taps, a, base, plane_stride, stride, dst0),
-        }
+        let hints = kernel2d::Hints::OFF;
+        kernel2d::rows_avx2::<E::Ymm>(&taps.chain, a, base, stride, dst0, dst1, hints);
     }
 }
 
+/// 2-D only: `Dispatch::narrow_3d` maps AVX-512 away before any 3-D
+/// sweep, so `execute3` keeps the scalar-chain default.
 #[cfg(target_arch = "x86_64")]
-impl TileKernel<f32> for Avx2Tile {
-    type Acc = std::arch::x86_64::__m256;
-    const NAME: &'static str = "avx2+fma";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 8,
-            unroll: 2,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx2_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        pf: Prefetch,
-    ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx2::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx2::row_single_f32(taps, a, base, stride, dst0, pf),
-        }
-    }
-
-    // execute3: scalar-chain default (bit-identical). The 3-D f32 path
-    // has no bespoke SIMD body yet; DESIGN.md §12 records the gap.
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f64> for Avx512Tile {
-    type Acc = std::arch::x86_64::__m512d;
+impl<E: NativeElement> TileKernel<E> for Avx512Tile {
+    type Acc = E::Zmm;
     const NAME: &'static str = "avx512";
 
     fn config() -> Config {
         Config {
             tile_m: 2,
-            tile_n: 8,
+            tile_n: <E::Zmm as Lanes>::LANES,
             unroll: 2,
         }
     }
@@ -495,54 +594,17 @@ impl TileKernel<f64> for Avx512Tile {
     }
 
     unsafe fn execute(
-        taps: &Taps2<f64>,
-        a: &[f64],
+        taps: &Taps2<E>,
+        a: &[E],
         base: isize,
         stride: isize,
-        dst0: &mut [f64],
-        dst1: Option<&mut [f64]>,
+        dst0: &mut [E],
+        dst1: Option<&mut [E]>,
         pf: Prefetch,
     ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx512::row_pair_f64(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx512::row_single_f64(taps, a, base, stride, dst0, pf),
-        }
-    }
-
-    // execute3: scalar-chain default — AVX-512 is a 2-D instance and
-    // Dispatch::narrow_3d maps it away before any 3-D sweep.
-}
-
-#[cfg(target_arch = "x86_64")]
-impl TileKernel<f32> for Avx512Tile {
-    type Acc = std::arch::x86_64::__m512;
-    const NAME: &'static str = "avx512";
-
-    fn config() -> Config {
-        Config {
-            tile_m: 2,
-            tile_n: 16,
-            unroll: 2,
-        }
-    }
-
-    fn available() -> bool {
-        Dispatch::avx512_available()
-    }
-
-    unsafe fn execute(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: Option<&mut [f32]>,
-        pf: Prefetch,
-    ) {
-        match dst1 {
-            Some(d1) => kernel2d::avx512::row_pair_f32(taps, a, base, stride, dst0, d1, pf),
-            None => kernel2d::avx512::row_single_f32(taps, a, base, stride, dst0, pf),
-        }
+        let rows = 1 + dst1.is_some() as isize;
+        let hints = kernel2d::Hints::rows_2d(pf, taps.r, rows, stride);
+        kernel2d::rows_avx512::<E::Zmm>(&taps.chain, a, base, stride, dst0, dst1, hints);
     }
 }
 

@@ -1,5 +1,5 @@
 //! Register-blocked 2-D micro-kernels with runtime SIMD dispatch,
-//! generic over the element type.
+//! generic over the element type and the vector register.
 //!
 //! Every dispatch path computes every output element as the *same*
 //! fused-multiply-add chain over the nonzero taps in canonical
@@ -13,41 +13,126 @@
 //! `_ps`/`f32` counterparts) all round once per step, so every SIMD
 //! path and the scalar fallback are **bit-identical** within one
 //! element type — dispatch can never change results, only speed
-//! (asserted by the `native_dispatch` property suite).
+//! (asserted by the `native_dispatch` property suite and the
+//! `guard_bands` footprint test).
+//!
+//! # One lane body
 //!
 //! The SIMD paths are the in-register analogue of the paper's in-place
-//! accumulation (HStencil §3, Algorithm 2): each processes *two output
-//! rows* × a register-width-sized column block per step, so every input
-//! row vector it loads is reused by all taps of both rows that touch it
-//! instead of being re-fetched once per tap the way the seed's
-//! tap-per-pass loop did. The bodies live here; the band walk that
-//! drives them is the shared [`TileKernel::sweep_band`] default in
-//! [`super::kernel`].
+//! accumulation (HStencil §3, Algorithm 2), written once: [`lane_rows`]
+//! is generic over a [`Lanes`] register type (`__m256d`, `__m256`,
+//! `__m512d`, `__m512`), so dtype and ISA are type parameters and the
+//! AVX2 and AVX-512 entry points are two `#[target_feature]` shims
+//! around the same body. The 3-D kernels run the same body too
+//! ([`super::kernel3d`]).
+//!
+//! The body never interprets the stencil. [`Taps2::new`] flattens each
+//! output element's chain once per sweep into a [`Chain`]: for tap `k`
+//! in canonical order, the input offset relative to the output's centre
+//! (`di * stride + dj`) and the coefficient, nonzero taps only. A row
+//! call broadcasts the coefficients once, outside the column loop, and
+//! walks the chain as a `const N` loop that LLVM unrolls completely for
+//! the preset chain lengths ([`ChainBody`]); any other length runs the
+//! same body with a runtime trip count.
+//!
+//! # Why split per-row chains stay bit-identical
+//!
+//! A row *pair* `(i, i+1)` keeps four accumulators live (two per row),
+//! but the two rows never share an FMA: row `i` runs the chain at
+//! `base`, row `i+1` runs the *same* chain at `base + stride`, each
+//! from its own zeroed accumulators. Every lane of every accumulator
+//! therefore sees exactly the scalar sequence
+//! `fma(c_0, x_0, +0.0)`, `fma(c_1, x_1, ·)`, … in canonical order, with
+//! one rounding per step — the column offset and the row a lane belongs
+//! to change which `x` it loads, never the order or the operation. The
+//! column remainder runs one register per row, and the last
+//! `< LANES` columns run the scalar chain ([`scalar_point`]) itself, so
+//! no column anywhere reassociates. Zero taps are not in the chain at
+//! all (and the scalar chain skips them too), so dropping the old
+//! `c != 0.0` branches changes no step.
+//!
+//! The band walk that drives the bodies is the shared
+//! [`TileKernel::sweep_band`] default in [`super::kernel`].
 //!
 //! [`TileKernel::sweep_band`]: super::kernel::TileKernel::sweep_band
 
 use super::hybrid;
+#[cfg(target_arch = "x86_64")]
+use super::kernel::Lanes;
 use super::kernel::{NativeElement, TileKernel};
+use super::prefetch::Prefetch;
 use super::Dispatch;
 use crate::element::Element;
 use crate::stencil::StencilSpec;
 
-/// Preprocessed nonzero taps of a 2-D stencil, with coefficients
-/// narrowed to the kernel's element type (nonzero-ness is decided on
-/// the `f64` master value, so the tap *structure* is dtype-invariant).
+/// One output element's canonical FMA chain, flattened for the lane
+/// body: tap `k` multiplies `c[k]` into the input at `centre + off[k]`.
+/// Nonzero taps only, in canonical order.
+pub(crate) struct Chain<E> {
+    pub(crate) off: Vec<isize>,
+    pub(crate) c: Vec<E>,
+}
+
+impl<E: Copy> Chain<E> {
+    pub(crate) fn new(taps: impl Iterator<Item = (isize, E)>) -> Chain<E> {
+        let (off, c) = taps.unzip();
+        Chain { off, c }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.off.len()
+    }
+}
+
+/// Which lane body a chain of nonzero taps runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ChainBody {
+    /// A compile-time-length body, fully unrolled over the chain.
+    Unrolled(usize),
+    /// The same body with a runtime trip count.
+    Runtime,
+}
+
+impl ChainBody {
+    /// Chain lengths with an unrolled body: the preset shapes (star and
+    /// heat r1 = 5, star r2 and box r1 = 9, star r3 = 13, box r2 = 25).
+    pub const UNROLLED: [usize; 4] = [5, 9, 13, 25];
+
+    /// The body a chain of `len` taps runs — the one decision both the
+    /// kernels and `hstencil dispatch` read.
+    pub fn of(len: usize) -> ChainBody {
+        if ChainBody::UNROLLED.contains(&len) {
+            ChainBody::Unrolled(len)
+        } else {
+            ChainBody::Runtime
+        }
+    }
+
+    /// `chain<5>`, `chain<runtime>`.
+    pub fn label(self) -> String {
+        match self {
+            ChainBody::Unrolled(n) => format!("chain<{n}>"),
+            ChainBody::Runtime => "chain<runtime>".to_string(),
+        }
+    }
+}
+
+/// Preprocessed nonzero taps of a 2-D stencil for one input row stride,
+/// with coefficients narrowed to the kernel's element type (nonzero-ness
+/// is decided on the `f64` master value, so the tap *structure* is
+/// dtype-invariant).
 pub struct Taps2<E: Element> {
     /// Radius.
     pub(crate) r: isize,
+    /// The input row stride the [`Taps2::chain`] offsets are built for.
+    pub(crate) stride: isize,
     /// Canonical `(di, dj, c)` chain — the bit-exactness contract.
     pub(crate) flat: Vec<(isize, isize, E)>,
+    /// The same chain as lane-body offsets for `stride`.
+    pub(crate) chain: Chain<E>,
     /// Taps grouped by input row for one output row: `single[di + r]`
-    /// lists `(dj, c)` ascending (nonzero only).
+    /// lists `(dj, c)` ascending (nonzero only) — the tempvec rows.
     pub(crate) single: Vec<Vec<(isize, E)>>,
-    /// Taps grouped by input row for an output row *pair* `(i, i+1)`:
-    /// `pair[e + r]` (input row `i + e`, `e` in `-r ..= r+1`) lists
-    /// `(dj, c_row_i, c_row_i1)` merged ascending by `dj`; a zero
-    /// coefficient means the tap does not touch that output row.
-    pub(crate) pair: Vec<Vec<(isize, E, E)>>,
     /// The same taps split for the hybrid 8×8 register-tile schedule
     /// ([`super::hybrid`]): vertical rank-1 coefficients + inner MLA
     /// taps.
@@ -55,7 +140,9 @@ pub struct Taps2<E: Element> {
 }
 
 impl<E: Element> Taps2<E> {
-    pub(crate) fn new(spec: &StencilSpec) -> Taps2<E> {
+    /// Taps of `spec` for sweeps over inputs whose rows are `stride`
+    /// elements apart.
+    pub(crate) fn new(spec: &StencilSpec, stride: isize) -> Taps2<E> {
         assert_eq!(spec.dims(), 2);
         let r = spec.radius() as isize;
         let mut flat = Vec::new();
@@ -69,28 +156,14 @@ impl<E: Element> Taps2<E> {
                 }
             }
         }
-        let mut pair = Vec::with_capacity((2 * r + 2) as usize);
-        for e in -r..=(r + 1) {
-            // Output row i sees input row i+e as tap di = e; output row
-            // i+1 sees it as di = e-1. Merge the two dj lists.
-            let a = Self::row(&single, e, r);
-            let b = Self::row(&single, e - 1, r);
-            pair.push(merge_pair_rows(a, b));
-        }
+        let chain = Chain::new(flat.iter().map(|&(di, dj, c)| (di * stride + dj, c)));
         Taps2 {
             r,
+            stride,
             flat,
+            chain,
             single,
-            pair,
             hybrid: hybrid::TapsHybrid::new(spec),
-        }
-    }
-
-    fn row(single: &[Vec<(isize, E)>], di: isize, r: isize) -> &[(isize, E)] {
-        if di < -r || di > r {
-            &[]
-        } else {
-            &single[(di + r) as usize]
         }
     }
 
@@ -101,49 +174,7 @@ impl<E: Element> Taps2<E> {
     }
 }
 
-/// Merges the `(dj, c)` tap lists of one input row as seen by an output
-/// row pair `(i, i+1)` into one `(dj, c_row_i, c_row_i1)` list ascending
-/// by `dj` (a zero coefficient means the tap does not touch that output
-/// row). Shared by the 2-D pair tables and the 3-D `(dk, e)` pair
-/// grouping in [`super::kernel3d`].
-pub(crate) fn merge_pair_rows<E: Element>(
-    a: &[(isize, E)],
-    b: &[(isize, E)],
-) -> Vec<(isize, E, E)> {
-    let mut merged: Vec<(isize, E, E)> = Vec::new();
-    let (mut ia, mut ib) = (0usize, 0usize);
-    while ia < a.len() || ib < b.len() {
-        let next_a = a.get(ia).map(|t| t.0);
-        let next_b = b.get(ib).map(|t| t.0);
-        match (next_a, next_b) {
-            (Some(da), Some(db)) if da == db => {
-                merged.push((da, a[ia].1, b[ib].1));
-                ia += 1;
-                ib += 1;
-            }
-            (Some(da), Some(db)) if da < db => {
-                merged.push((da, a[ia].1, E::ZERO));
-                ia += 1;
-            }
-            (Some(_), Some(db)) => {
-                merged.push((db, E::ZERO, b[ib].1));
-                ib += 1;
-            }
-            (Some(da), None) => {
-                merged.push((da, a[ia].1, E::ZERO));
-                ia += 1;
-            }
-            (None, Some(db)) => {
-                merged.push((db, E::ZERO, b[ib].1));
-                ib += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-    merged
-}
-
-/// The canonical scalar chain for one element; also the SIMD tail path.
+/// The canonical scalar chain for one element.
 #[inline]
 pub(crate) fn scalar_point<E: Element>(
     flat: &[(isize, isize, E)],
@@ -228,7 +259,7 @@ pub(crate) fn sweep_band_2d<E: NativeElement>(
 /// faults, so running past a slice edge is safe by construction.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) unsafe fn hint_step<E: Element>(
+unsafe fn hint_step<E: Element>(
     ap: *const E,
     deep: isize,
     stride: isize,
@@ -249,638 +280,204 @@ pub(crate) unsafe fn hint_step<E: Element>(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx2 {
-    use super::super::prefetch::Prefetch;
-    use super::{hint_step, scalar_point, Taps2};
-    use std::arch::x86_64::*;
+/// Where one lane-body call prefetches: the input row `deep` elements
+/// from the first output's centre, then `rows` rows below it `step`
+/// apart (and `pf.dst_cols` ahead on each output row).
+#[derive(Clone, Copy)]
+pub(crate) struct Hints {
+    pub(crate) pf: Prefetch,
+    pub(crate) deep: isize,
+    pub(crate) step: isize,
+}
 
-    /// Two output rows, eight columns per step (four 4-lane
-    /// accumulators live across the whole tap chain). `base` is the
-    /// flat index of `(i, j0)`; `dst0`/`dst1` are the two output row
-    /// segments (equal length).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 + FMA support.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_pair(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: &mut [f64],
-        pf: Prefetch,
-    ) {
-        debug_assert_eq!(dst0.len(), dst1.len());
-        let jw = dst0.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        // Deepest input row of this pair is base + (r+1)*stride; the
-        // prefetch stream runs `input_rows` rows below it (the rows the
-        // next pair down the band will newly touch).
-        let pf_deep = base + (r + 2) * stride;
-        let dst_ptrs = [dst0.as_ptr(), dst1.as_ptr()];
-        let mut j = 0usize;
-        while j + 8 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc00 = _mm256_setzero_pd();
-            let mut acc01 = _mm256_setzero_pd();
-            let mut acc10 = _mm256_setzero_pd();
-            let mut acc11 = _mm256_setzero_pd();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let v0 = _mm256_loadu_pd(ptr);
-                    let v1 = _mm256_loadu_pd(ptr.add(4));
-                    if c0 != 0.0 {
-                        let cv = _mm256_set1_pd(c0);
-                        acc00 = _mm256_fmadd_pd(cv, v0, acc00);
-                        acc01 = _mm256_fmadd_pd(cv, v1, acc01);
-                    }
-                    if c1 != 0.0 {
-                        let cv = _mm256_set1_pd(c1);
-                        acc10 = _mm256_fmadd_pd(cv, v0, acc10);
-                        acc11 = _mm256_fmadd_pd(cv, v1, acc11);
-                    }
-                }
-            }
-            _mm256_storeu_pd(dst0.as_mut_ptr().add(j), acc00);
-            _mm256_storeu_pd(dst0.as_mut_ptr().add(j + 4), acc01);
-            _mm256_storeu_pd(dst1.as_mut_ptr().add(j), acc10);
-            _mm256_storeu_pd(dst1.as_mut_ptr().add(j + 4), acc11);
-            j += 8;
-        }
-        while j + 4 <= jw {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let v = _mm256_loadu_pd(ap.offset(row_base + dj));
-                    if c0 != 0.0 {
-                        acc0 = _mm256_fmadd_pd(_mm256_set1_pd(c0), v, acc0);
-                    }
-                    if c1 != 0.0 {
-                        acc1 = _mm256_fmadd_pd(_mm256_set1_pd(c1), v, acc1);
-                    }
-                }
-            }
-            _mm256_storeu_pd(dst0.as_mut_ptr().add(j), acc0);
-            _mm256_storeu_pd(dst1.as_mut_ptr().add(j), acc1);
-            j += 4;
-        }
-        while j < jw {
-            dst0[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            dst1[j] = scalar_point(&taps.flat, a, base + stride + j as isize, stride);
-            j += 1;
-        }
-    }
+impl Hints {
+    /// No prefetch at all.
+    pub(crate) const OFF: Hints = Hints {
+        pf: Prefetch::OFF,
+        deep: 0,
+        step: 0,
+    };
 
-    /// One output row (the odd last row of a band), eight columns per
-    /// step.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 + FMA support.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_single(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst: &mut [f64],
-        pf: Prefetch,
-    ) {
-        let jw = dst.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 1) * stride;
-        let dst_ptrs = [dst.as_ptr()];
-        let mut j = 0usize;
-        while j + 8 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let cv = _mm256_set1_pd(c);
-                    acc0 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(ptr), acc0);
-                    acc1 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(ptr.add(4)), acc1);
-                }
-            }
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j), acc0);
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j + 4), acc1);
-            j += 8;
-        }
-        while j + 4 <= jw {
-            let mut acc = _mm256_setzero_pd();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let v = _mm256_loadu_pd(ap.offset(row_base + dj));
-                    acc = _mm256_fmadd_pd(_mm256_set1_pd(c), v, acc);
-                }
-            }
-            _mm256_storeu_pd(dst.as_mut_ptr().add(j), acc);
-            j += 4;
-        }
-        while j < jw {
-            dst[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            j += 1;
-        }
-    }
-
-    /// The `f32` row pair: same schedule as [`row_pair`] at double the
-    /// lane count — two output rows × sixteen columns per step, four
-    /// 8-lane accumulators. Same canonical chain per element, so it is
-    /// bit-identical to the `f32` scalar fallback.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 + FMA support.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_pair_f32(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: &mut [f32],
-        pf: Prefetch,
-    ) {
-        debug_assert_eq!(dst0.len(), dst1.len());
-        let jw = dst0.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 2) * stride;
-        let dst_ptrs = [dst0.as_ptr(), dst1.as_ptr()];
-        let mut j = 0usize;
-        while j + 16 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc00 = _mm256_setzero_ps();
-            let mut acc01 = _mm256_setzero_ps();
-            let mut acc10 = _mm256_setzero_ps();
-            let mut acc11 = _mm256_setzero_ps();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let v0 = _mm256_loadu_ps(ptr);
-                    let v1 = _mm256_loadu_ps(ptr.add(8));
-                    if c0 != 0.0 {
-                        let cv = _mm256_set1_ps(c0);
-                        acc00 = _mm256_fmadd_ps(cv, v0, acc00);
-                        acc01 = _mm256_fmadd_ps(cv, v1, acc01);
-                    }
-                    if c1 != 0.0 {
-                        let cv = _mm256_set1_ps(c1);
-                        acc10 = _mm256_fmadd_ps(cv, v0, acc10);
-                        acc11 = _mm256_fmadd_ps(cv, v1, acc11);
-                    }
-                }
-            }
-            _mm256_storeu_ps(dst0.as_mut_ptr().add(j), acc00);
-            _mm256_storeu_ps(dst0.as_mut_ptr().add(j + 8), acc01);
-            _mm256_storeu_ps(dst1.as_mut_ptr().add(j), acc10);
-            _mm256_storeu_ps(dst1.as_mut_ptr().add(j + 8), acc11);
-            j += 16;
-        }
-        while j + 8 <= jw {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let v = _mm256_loadu_ps(ap.offset(row_base + dj));
-                    if c0 != 0.0 {
-                        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(c0), v, acc0);
-                    }
-                    if c1 != 0.0 {
-                        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(c1), v, acc1);
-                    }
-                }
-            }
-            _mm256_storeu_ps(dst0.as_mut_ptr().add(j), acc0);
-            _mm256_storeu_ps(dst1.as_mut_ptr().add(j), acc1);
-            j += 8;
-        }
-        while j < jw {
-            dst0[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            dst1[j] = scalar_point(&taps.flat, a, base + stride + j as isize, stride);
-            j += 1;
-        }
-    }
-
-    /// The `f32` odd last row, sixteen columns per step.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 + FMA support.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn row_single_f32(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst: &mut [f32],
-        pf: Prefetch,
-    ) {
-        let jw = dst.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 1) * stride;
-        let dst_ptrs = [dst.as_ptr()];
-        let mut j = 0usize;
-        while j + 16 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let cv = _mm256_set1_ps(c);
-                    acc0 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(ptr), acc0);
-                    acc1 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(ptr.add(8)), acc1);
-                }
-            }
-            _mm256_storeu_ps(dst.as_mut_ptr().add(j), acc0);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(j + 8), acc1);
-            j += 16;
-        }
-        while j + 8 <= jw {
-            let mut acc = _mm256_setzero_ps();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let v = _mm256_loadu_ps(ap.offset(row_base + dj));
-                    acc = _mm256_fmadd_ps(_mm256_set1_ps(c), v, acc);
-                }
-            }
-            _mm256_storeu_ps(dst.as_mut_ptr().add(j), acc);
-            j += 8;
-        }
-        while j < jw {
-            dst[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            j += 1;
+    /// The 2-D streams for `rows` output rows at radius `r`: input rows
+    /// start just below the deepest tap row of the last output row.
+    pub(crate) fn rows_2d(pf: Prefetch, r: isize, rows: isize, stride: isize) -> Hints {
+        Hints {
+            pf,
+            deep: (r + rows) * stride,
+            step: stride,
         }
     }
 }
 
-/// The AVX-512F bodies: the same two-row schedule as [`avx2`] at double
-/// the register width (8-wide `f64` / 16-wide `f32` lanes). Each lane
-/// still computes the canonical chain, so within one element type these
-/// are bit-identical to both the AVX2 and the scalar paths.
+/// The lane body: `R` output rows (`row_step` apart in `a`, each a
+/// `dst[q]` segment of equal length) × `2 * L::LANES` columns per
+/// step, one [`Chain`] of `N` taps per output (`N == 0`: the chain's
+/// own length, at runtime). `base` is the flat index in `a` of the
+/// first output's centre.
+///
+/// # Safety
+/// The host must run `L`'s instructions, this function must be inlined
+/// into a `#[target_feature]` entry point that enables them, and `a`
+/// must hold every tap read of every output (the padded-grid halo
+/// contract).
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod avx512 {
-    use super::super::prefetch::Prefetch;
-    use super::{hint_step, scalar_point, Taps2};
-    use std::arch::x86_64::*;
-
-    /// Two `f64` output rows, sixteen columns per step (four 8-lane zmm
-    /// accumulators).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn row_pair_f64(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f64],
-        dst1: &mut [f64],
-        pf: Prefetch,
-    ) {
-        debug_assert_eq!(dst0.len(), dst1.len());
-        let jw = dst0.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 2) * stride;
-        let dst_ptrs = [dst0.as_ptr(), dst1.as_ptr()];
-        let mut j = 0usize;
-        while j + 16 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc00 = _mm512_setzero_pd();
-            let mut acc01 = _mm512_setzero_pd();
-            let mut acc10 = _mm512_setzero_pd();
-            let mut acc11 = _mm512_setzero_pd();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let v0 = _mm512_loadu_pd(ptr);
-                    let v1 = _mm512_loadu_pd(ptr.add(8));
-                    if c0 != 0.0 {
-                        let cv = _mm512_set1_pd(c0);
-                        acc00 = _mm512_fmadd_pd(cv, v0, acc00);
-                        acc01 = _mm512_fmadd_pd(cv, v1, acc01);
-                    }
-                    if c1 != 0.0 {
-                        let cv = _mm512_set1_pd(c1);
-                        acc10 = _mm512_fmadd_pd(cv, v0, acc10);
-                        acc11 = _mm512_fmadd_pd(cv, v1, acc11);
-                    }
-                }
+#[inline(always)]
+unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
+    chain: &Chain<L::Elem>,
+    a: &[L::Elem],
+    base: isize,
+    row_step: isize,
+    dst: [&mut [L::Elem]; R],
+    hints: Hints,
+) {
+    debug_assert!(N == 0 || N == chain.len());
+    let n = if N == 0 { chain.len() } else { N };
+    let (off, cs) = (&chain.off[..n], &chain.c[..n]);
+    // Broadcast once per row call; the runtime-length body broadcasts
+    // from memory per tap instead (one load either way).
+    let mut cv = [L::zero(); N];
+    for k in 0..N {
+        cv[k] = L::splat(cs[k]);
+    }
+    let mut dst = dst;
+    let jw = dst[0].len();
+    let ap = a.as_ptr();
+    let lanes = L::LANES;
+    let outs = dst.each_mut().map(|d| d.as_mut_ptr());
+    let hint_dsts = outs.map(|p| p as *const L::Elem);
+    let bases: [isize; R] = std::array::from_fn(|q| base + q as isize * row_step);
+    let mut j = 0usize;
+    while j + 2 * lanes <= jw {
+        hint_step(
+            ap,
+            base + hints.deep + j as isize,
+            hints.step,
+            hints.pf.input_rows,
+            &hint_dsts,
+            j,
+            hints.pf.dst_cols,
+        );
+        let mut acc = [[L::zero(); 2]; R];
+        for k in 0..n {
+            let c = if N == 0 { L::splat(cs[k]) } else { cv[k] };
+            for q in 0..R {
+                let p = ap.offset(bases[q] + j as isize + off[k]);
+                acc[q][0] = c.fmadd(L::load(p), acc[q][0]);
+                acc[q][1] = c.fmadd(L::load(p.add(lanes)), acc[q][1]);
             }
-            _mm512_storeu_pd(dst0.as_mut_ptr().add(j), acc00);
-            _mm512_storeu_pd(dst0.as_mut_ptr().add(j + 8), acc01);
-            _mm512_storeu_pd(dst1.as_mut_ptr().add(j), acc10);
-            _mm512_storeu_pd(dst1.as_mut_ptr().add(j + 8), acc11);
-            j += 16;
         }
-        while j + 8 <= jw {
-            let mut acc0 = _mm512_setzero_pd();
-            let mut acc1 = _mm512_setzero_pd();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let v = _mm512_loadu_pd(ap.offset(row_base + dj));
-                    if c0 != 0.0 {
-                        acc0 = _mm512_fmadd_pd(_mm512_set1_pd(c0), v, acc0);
-                    }
-                    if c1 != 0.0 {
-                        acc1 = _mm512_fmadd_pd(_mm512_set1_pd(c1), v, acc1);
-                    }
-                }
+        for q in 0..R {
+            acc[q][0].store(outs[q].add(j));
+            acc[q][1].store(outs[q].add(j + lanes));
+        }
+        j += 2 * lanes;
+    }
+    while j + lanes <= jw {
+        let mut acc = [L::zero(); R];
+        for k in 0..n {
+            let c = if N == 0 { L::splat(cs[k]) } else { cv[k] };
+            for q in 0..R {
+                acc[q] = c.fmadd(L::load(ap.offset(bases[q] + j as isize + off[k])), acc[q]);
             }
-            _mm512_storeu_pd(dst0.as_mut_ptr().add(j), acc0);
-            _mm512_storeu_pd(dst1.as_mut_ptr().add(j), acc1);
-            j += 8;
         }
-        while j < jw {
-            dst0[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            dst1[j] = scalar_point(&taps.flat, a, base + stride + j as isize, stride);
-            j += 1;
+        for q in 0..R {
+            acc[q].store(outs[q].add(j));
+        }
+        j += lanes;
+    }
+    for (q, d) in dst.into_iter().enumerate() {
+        for (jj, out) in d.iter_mut().enumerate().skip(j) {
+            let mut acc = <L::Elem as Element>::ZERO;
+            for k in 0..n {
+                acc = cs[k].mul_add(a[(bases[q] + jj as isize + off[k]) as usize], acc);
+            }
+            *out = acc;
         }
     }
+}
 
-    /// One `f64` output row, sixteen columns per step.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn row_single_f64(
-        taps: &Taps2<f64>,
-        a: &[f64],
-        base: isize,
-        stride: isize,
-        dst: &mut [f64],
-        pf: Prefetch,
-    ) {
-        let jw = dst.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 1) * stride;
-        let dst_ptrs = [dst.as_ptr()];
-        let mut j = 0usize;
-        while j + 16 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc0 = _mm512_setzero_pd();
-            let mut acc1 = _mm512_setzero_pd();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let cv = _mm512_set1_pd(c);
-                    acc0 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(ptr), acc0);
-                    acc1 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(ptr.add(8)), acc1);
-                }
-            }
-            _mm512_storeu_pd(dst.as_mut_ptr().add(j), acc0);
-            _mm512_storeu_pd(dst.as_mut_ptr().add(j + 8), acc1);
-            j += 16;
-        }
-        while j + 8 <= jw {
-            let mut acc = _mm512_setzero_pd();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let v = _mm512_loadu_pd(ap.offset(row_base + dj));
-                    acc = _mm512_fmadd_pd(_mm512_set1_pd(c), v, acc);
-                }
-            }
-            _mm512_storeu_pd(dst.as_mut_ptr().add(j), acc);
-            j += 8;
-        }
-        while j < jw {
-            dst[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            j += 1;
-        }
+/// [`lane_body`] at the chain length [`ChainBody::of`] picks.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn by_len<L: Lanes, const R: usize>(
+    chain: &Chain<L::Elem>,
+    a: &[L::Elem],
+    base: isize,
+    row_step: isize,
+    dst: [&mut [L::Elem]; R],
+    hints: Hints,
+) {
+    match ChainBody::of(chain.len()) {
+        ChainBody::Unrolled(5) => lane_body::<L, 5, R>(chain, a, base, row_step, dst, hints),
+        ChainBody::Unrolled(9) => lane_body::<L, 9, R>(chain, a, base, row_step, dst, hints),
+        ChainBody::Unrolled(13) => lane_body::<L, 13, R>(chain, a, base, row_step, dst, hints),
+        ChainBody::Unrolled(25) => lane_body::<L, 25, R>(chain, a, base, row_step, dst, hints),
+        ChainBody::Unrolled(n) => unreachable!("no unrolled lane body for chain<{n}>"),
+        ChainBody::Runtime => lane_body::<L, 0, R>(chain, a, base, row_step, dst, hints),
     }
+}
 
-    /// Two `f32` output rows, thirty-two columns per step (four 16-lane
-    /// zmm accumulators).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn row_pair_f32(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst0: &mut [f32],
-        dst1: &mut [f32],
-        pf: Prefetch,
-    ) {
-        debug_assert_eq!(dst0.len(), dst1.len());
-        let jw = dst0.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 2) * stride;
-        let dst_ptrs = [dst0.as_ptr(), dst1.as_ptr()];
-        let mut j = 0usize;
-        while j + 32 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc00 = _mm512_setzero_ps();
-            let mut acc01 = _mm512_setzero_ps();
-            let mut acc10 = _mm512_setzero_ps();
-            let mut acc11 = _mm512_setzero_ps();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let v0 = _mm512_loadu_ps(ptr);
-                    let v1 = _mm512_loadu_ps(ptr.add(16));
-                    if c0 != 0.0 {
-                        let cv = _mm512_set1_ps(c0);
-                        acc00 = _mm512_fmadd_ps(cv, v0, acc00);
-                        acc01 = _mm512_fmadd_ps(cv, v1, acc01);
-                    }
-                    if c1 != 0.0 {
-                        let cv = _mm512_set1_ps(c1);
-                        acc10 = _mm512_fmadd_ps(cv, v0, acc10);
-                        acc11 = _mm512_fmadd_ps(cv, v1, acc11);
-                    }
-                }
-            }
-            _mm512_storeu_ps(dst0.as_mut_ptr().add(j), acc00);
-            _mm512_storeu_ps(dst0.as_mut_ptr().add(j + 16), acc01);
-            _mm512_storeu_ps(dst1.as_mut_ptr().add(j), acc10);
-            _mm512_storeu_ps(dst1.as_mut_ptr().add(j + 16), acc11);
-            j += 32;
+/// One or two output rows (`dst1` is the row `row_step` below `dst0`,
+/// equal length) through the lane body for register type `L`.
+///
+/// # Safety
+/// As [`lane_body`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn lane_rows<L: Lanes>(
+    chain: &Chain<L::Elem>,
+    a: &[L::Elem],
+    base: isize,
+    row_step: isize,
+    dst0: &mut [L::Elem],
+    dst1: Option<&mut [L::Elem]>,
+    hints: Hints,
+) {
+    match dst1 {
+        Some(d1) => {
+            debug_assert_eq!(dst0.len(), d1.len());
+            by_len::<L, 2>(chain, a, base, row_step, [dst0, d1], hints)
         }
-        while j + 16 <= jw {
-            let mut acc0 = _mm512_setzero_ps();
-            let mut acc1 = _mm512_setzero_ps();
-            for (p, row_taps) in taps.pair.iter().enumerate() {
-                let e = p as isize - r;
-                let row_base = base + e * stride + j as isize;
-                for &(dj, c0, c1) in row_taps {
-                    let v = _mm512_loadu_ps(ap.offset(row_base + dj));
-                    if c0 != 0.0 {
-                        acc0 = _mm512_fmadd_ps(_mm512_set1_ps(c0), v, acc0);
-                    }
-                    if c1 != 0.0 {
-                        acc1 = _mm512_fmadd_ps(_mm512_set1_ps(c1), v, acc1);
-                    }
-                }
-            }
-            _mm512_storeu_ps(dst0.as_mut_ptr().add(j), acc0);
-            _mm512_storeu_ps(dst1.as_mut_ptr().add(j), acc1);
-            j += 16;
-        }
-        while j < jw {
-            dst0[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            dst1[j] = scalar_point(&taps.flat, a, base + stride + j as isize, stride);
-            j += 1;
-        }
+        None => by_len::<L, 1>(chain, a, base, row_step, [dst0], hints),
     }
+}
 
-    /// One `f32` output row, thirty-two columns per step.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX-512F support.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn row_single_f32(
-        taps: &Taps2<f32>,
-        a: &[f32],
-        base: isize,
-        stride: isize,
-        dst: &mut [f32],
-        pf: Prefetch,
-    ) {
-        let jw = dst.len();
-        let ap = a.as_ptr();
-        let r = taps.r;
-        let pf_deep = base + (r + 1) * stride;
-        let dst_ptrs = [dst.as_ptr()];
-        let mut j = 0usize;
-        while j + 32 <= jw {
-            hint_step(
-                ap,
-                pf_deep + j as isize,
-                stride,
-                pf.input_rows,
-                &dst_ptrs,
-                j,
-                pf.dst_cols,
-            );
-            let mut acc0 = _mm512_setzero_ps();
-            let mut acc1 = _mm512_setzero_ps();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let ptr = ap.offset(row_base + dj);
-                    let cv = _mm512_set1_ps(c);
-                    acc0 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(ptr), acc0);
-                    acc1 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(ptr.add(16)), acc1);
-                }
-            }
-            _mm512_storeu_ps(dst.as_mut_ptr().add(j), acc0);
-            _mm512_storeu_ps(dst.as_mut_ptr().add(j + 16), acc1);
-            j += 32;
-        }
-        while j + 16 <= jw {
-            let mut acc = _mm512_setzero_ps();
-            for (p, row_taps) in taps.single.iter().enumerate() {
-                let di = p as isize - r;
-                let row_base = base + di * stride + j as isize;
-                for &(dj, c) in row_taps {
-                    let v = _mm512_loadu_ps(ap.offset(row_base + dj));
-                    acc = _mm512_fmadd_ps(_mm512_set1_ps(c), v, acc);
-                }
-            }
-            _mm512_storeu_ps(dst.as_mut_ptr().add(j), acc);
-            j += 16;
-        }
-        while j < jw {
-            dst[j] = scalar_point(&taps.flat, a, base + j as isize, stride);
-            j += 1;
-        }
-    }
+/// The AVX2 + FMA entry point of [`lane_rows`].
+///
+/// # Safety
+/// The host must support AVX2 and FMA, `L` must be a 256-bit register
+/// type, and `a` must hold every tap read (see [`lane_body`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn rows_avx2<L: Lanes>(
+    chain: &Chain<L::Elem>,
+    a: &[L::Elem],
+    base: isize,
+    row_step: isize,
+    dst0: &mut [L::Elem],
+    dst1: Option<&mut [L::Elem]>,
+    hints: Hints,
+) {
+    lane_rows::<L>(chain, a, base, row_step, dst0, dst1, hints)
+}
+
+/// The AVX-512F entry point of [`lane_rows`].
+///
+/// # Safety
+/// The host must support AVX-512F, and `a` must hold every tap read
+/// (see [`lane_body`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn rows_avx512<L: Lanes>(
+    chain: &Chain<L::Elem>,
+    a: &[L::Elem],
+    base: isize,
+    row_step: isize,
+    dst0: &mut [L::Elem],
+    dst1: Option<&mut [L::Elem]>,
+    hints: Hints,
+) {
+    lane_rows::<L>(chain, a, base, row_step, dst0, dst1, hints)
 }
 
 #[cfg(test)]
@@ -889,32 +486,45 @@ mod tests {
     use crate::stencil::presets;
 
     #[test]
-    fn pair_merge_covers_both_rows_in_canonical_order() {
-        let taps = Taps2::<f64>::new(&presets::star2d9p());
-        assert_eq!(taps.pair.len(), 2 * 2 + 2);
-        let mut from_pair_row0 = Vec::new();
-        let mut from_pair_row1 = Vec::new();
-        for (p, row) in taps.pair.iter().enumerate() {
-            let e = p as isize - taps.r;
-            for &(dj, c0, c1) in row {
-                // dj strictly ascending within one input row.
-                assert!(c0 != 0.0 || c1 != 0.0);
-                if c0 != 0.0 {
-                    from_pair_row0.push((e, dj, c0));
-                }
-                if c1 != 0.0 {
-                    from_pair_row1.push((e - 1, dj, c1));
-                }
-            }
+    fn chain_replays_the_canonical_order_at_the_stride() {
+        for spec in presets::suite_2d() {
+            let taps = Taps2::<f64>::new(&spec, 24);
+            let want: Vec<(isize, f64)> = taps
+                .flat
+                .iter()
+                .map(|&(di, dj, c)| (di * 24 + dj, c))
+                .collect();
+            let got: Vec<(isize, f64)> = taps
+                .chain
+                .off
+                .iter()
+                .copied()
+                .zip(taps.chain.c.iter().copied())
+                .collect();
+            assert_eq!(got, want, "{}", spec.name());
         }
-        assert_eq!(from_pair_row0, taps.flat);
-        assert_eq!(from_pair_row1, taps.flat);
+    }
+
+    #[test]
+    fn presets_run_unrolled_bodies_and_other_lengths_the_runtime_one() {
+        for spec in presets::suite_2d() {
+            let n = Taps2::<f64>::new(&spec, 16).chain.len();
+            let want = if spec.name() == "box2d49p" {
+                ChainBody::Runtime
+            } else {
+                ChainBody::Unrolled(n)
+            };
+            assert_eq!(ChainBody::of(n), want, "{}", spec.name());
+        }
+        assert_eq!(ChainBody::of(4), ChainBody::Runtime);
+        assert_eq!(ChainBody::of(0).label(), "chain<runtime>");
+        assert_eq!(ChainBody::of(9).label(), "chain<9>");
     }
 
     #[test]
     fn flat_taps_are_sorted_and_nonzero() {
         for spec in presets::suite_2d() {
-            let taps = Taps2::<f64>::new(&spec);
+            let taps = Taps2::<f64>::new(&spec, 16);
             assert_eq!(taps.flat.len(), spec.points());
             let mut sorted = taps.flat.clone();
             sorted.sort_by_key(|&(di, dj, _)| (di, dj));
@@ -925,8 +535,8 @@ mod tests {
     #[test]
     fn f32_taps_share_the_structure_and_narrow_the_coefficients() {
         for spec in presets::suite_2d() {
-            let t64 = Taps2::<f64>::new(&spec);
-            let t32 = Taps2::<f32>::new(&spec);
+            let t64 = Taps2::<f64>::new(&spec, 16);
+            let t32 = Taps2::<f32>::new(&spec, 16);
             assert_eq!(t32.flat.len(), t64.flat.len(), "{}", spec.name());
             for (&(di32, dj32, c32), &(di64, dj64, c64)) in t32.flat.iter().zip(&t64.flat) {
                 assert_eq!((di32, dj32), (di64, dj64));

@@ -87,7 +87,7 @@ mod kernel2d;
 mod kernel3d;
 mod tile;
 
-pub use kernel::{NativeElement, TileKernel};
+pub use kernel::{ChainBody, NativeElement, TileKernel};
 pub use prefetch::Prefetch;
 pub use temporal::{time_steps_temporal, time_steps_temporal_in, Temporal};
 
@@ -203,6 +203,18 @@ impl Dispatch {
             Dispatch::Avx512 => "avx512",
             Dispatch::Hybrid => "hybrid8x8",
             Dispatch::TempVec => "tempvec",
+        }
+    }
+
+    /// Which body this dispatch runs for `spec`: for the lane-body
+    /// instances ([`Dispatch::Avx2Fma`], [`Dispatch::Avx512`]) the
+    /// chain body the kernels themselves pick ([`ChainBody::of`] over
+    /// the nonzero tap count, e.g. `chain<5>` or `chain<runtime>`);
+    /// for the other families, which have one body each, their label.
+    pub fn body_label(self, spec: &StencilSpec) -> String {
+        match self {
+            Dispatch::Avx2Fma | Dispatch::Avx512 => ChainBody::of(spec.points()).label(),
+            d => d.label().to_string(),
         }
     }
 
@@ -402,7 +414,7 @@ pub fn apply_2d_with<E: NativeElement>(
     b: &mut Grid2dT<E>,
 ) {
     assert_shapes_2d(spec, a, b);
-    let taps = Taps2::<E>::new(spec);
+    let taps = Taps2::<E>::new(spec, a.stride() as isize);
     let (h, w) = (a.h(), a.w());
     let (a_org, a_stride) = (a.origin() as isize, a.stride() as isize);
     let (b_org, b_stride) = (b.origin(), b.stride());
@@ -465,7 +477,7 @@ pub fn apply_2d_parallel_in<E: NativeElement>(
         return;
     }
     assert_shapes_2d(spec, a, b);
-    let taps = Taps2::<E>::new(spec);
+    let taps = Taps2::<E>::new(spec, a.stride() as isize);
     let (h, w) = (a.h(), a.w());
     let (a_org, a_stride) = (a.origin() as isize, a.stride() as isize);
     let (b_org, b_stride) = (b.origin(), b.stride());
@@ -542,7 +554,7 @@ pub fn apply_3d_with<E: NativeElement>(
 ) {
     let dispatch = dispatch.narrow_3d();
     assert_shapes_3d(spec, a, b);
-    let taps = Taps3::<E>::new(spec);
+    let taps = Taps3::<E>::new(spec, a.plane_stride() as isize, a.stride() as isize);
     let (d, h, w) = (a.d(), a.h(), a.w());
     let (b_org, b_ps, b_stride) = (b.origin(), b.plane_stride(), b.stride());
     let a_raw = a.raw();
@@ -609,7 +621,7 @@ pub fn apply_3d_parallel_in<E: NativeElement>(
         return;
     }
     assert_shapes_3d(spec, a, b);
-    let taps = Taps3::<E>::new(spec);
+    let taps = Taps3::<E>::new(spec, a.plane_stride() as isize, a.stride() as isize);
     let (d, h, w) = (a.d(), a.h(), a.w());
     let (b_org, b_ps, b_stride) = (b.origin(), b.plane_stride(), b.stride());
     let a_raw = a.raw();

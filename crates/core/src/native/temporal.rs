@@ -71,6 +71,7 @@ use super::kernel2d::{self, Taps2};
 use super::pool::ThreadPool;
 use super::tile;
 use super::Dispatch;
+use crate::element::Element;
 use crate::grid::Grid2dT;
 use crate::stencil::StencilSpec;
 use lx2_isa::VLEN;
@@ -173,7 +174,7 @@ pub fn arena_footprint<E: NativeElement>() -> (usize, usize) {
 #[allow(clippy::too_many_arguments)]
 fn tile_pipeline<E: NativeElement>(
     dispatch: Dispatch,
-    taps: &Taps2<E>,
+    taps: &LayoutTaps<E>,
     src: &[E],
     src_org: isize,
     src_stride: isize,
@@ -189,7 +190,7 @@ fn tile_pipeline<E: NativeElement>(
     lanes: usize,
 ) {
     debug_assert!(steps >= 2);
-    let r = taps.r;
+    let r = taps.grid.r;
     let (hi, wi) = (h as isize, w as isize);
     let g1 = r * (steps as isize - 1);
     // The tempvec innermost strategy: fully-interior tiles skip the
@@ -204,7 +205,7 @@ fn tile_pipeline<E: NativeElement>(
         && tc1 + g1 <= wi
     {
         super::tempvec::tile_wavefront(
-            taps,
+            &taps.grid,
             src,
             src_org,
             src_stride,
@@ -279,7 +280,7 @@ fn tile_pipeline<E: NativeElement>(
             let off = idx(a0, c0);
             kernel2d::sweep_band_2d(
                 dispatch,
-                taps,
+                &taps.grid,
                 src,
                 src_org + c0,
                 src_stride,
@@ -296,7 +297,7 @@ fn tile_pipeline<E: NativeElement>(
                 let off = (tr0 as usize - band_lo) * dst_stride + tc0 as usize;
                 kernel2d::sweep_band_2d(
                     dispatch,
-                    taps,
+                    &taps.scratch,
                     read_buf,
                     a_org,
                     ss,
@@ -311,7 +312,7 @@ fn tile_pipeline<E: NativeElement>(
                 let off = idx(a0, c0);
                 kernel2d::sweep_band_2d(
                     dispatch,
-                    taps,
+                    &taps.scratch,
                     read_buf,
                     a_org,
                     ss,
@@ -327,6 +328,14 @@ fn tile_pipeline<E: NativeElement>(
     }
 }
 
+/// The taps for the two input layouts a superstep reads: the grid
+/// rows (level 1, and depth-1 supersteps) and the per-lane scratch
+/// planes (levels 2 and up), whose row strides differ.
+struct LayoutTaps<E: Element> {
+    grid: Taps2<E>,
+    scratch: Taps2<E>,
+}
+
 /// Advances band rows `[lo, hi)` by `steps` fused time steps: reads the
 /// level-0 grid `src`, writes level `steps` into `dst` (`dst[0]` =
 /// element `(lo, 0)`, rows `dst_stride` apart), walking the band in
@@ -334,7 +343,7 @@ fn tile_pipeline<E: NativeElement>(
 #[allow(clippy::too_many_arguments)]
 fn band_pipeline<E: NativeElement>(
     dispatch: Dispatch,
-    taps: &Taps2<E>,
+    taps: &LayoutTaps<E>,
     src: &[E],
     src_org: isize,
     src_stride: isize,
@@ -353,7 +362,7 @@ fn band_pipeline<E: NativeElement>(
     if steps == 1 {
         // Depth-1 superstep: a plain banded sweep, no scratch involved.
         kernel2d::sweep_band_2d(
-            dispatch, taps, src, src_org, src_stride, w, dst, dst_stride, lo, hi, lanes,
+            dispatch, &taps.grid, src, src_org, src_stride, w, dst, dst_stride, lo, hi, lanes,
         );
         return;
     }
@@ -396,7 +405,7 @@ fn band_pipeline<E: NativeElement>(
 fn superstep<E: NativeElement>(
     pool: &ThreadPool,
     dispatch: Dispatch,
-    taps: &Taps2<E>,
+    taps: &LayoutTaps<E>,
     src: &Grid2dT<E>,
     dst: &mut Grid2dT<E>,
     steps: usize,
@@ -529,7 +538,6 @@ pub fn time_steps_temporal_in<E: NativeElement>(
         return super::time_steps_in(pool, dispatch, spec, init, sweeps, threads);
     }
 
-    let taps = Taps2::<E>::new(spec);
     let nb = if threads == 1 || h < 2 * threads {
         1
     } else {
@@ -552,6 +560,11 @@ pub fn time_steps_temporal_in<E: NativeElement>(
     for sc in slots.iter_mut() {
         sc.ensure(h, w, r, t_block, th, tw);
     }
+    // Every slot now has this call's shape, so one scratch stride.
+    let taps = LayoutTaps {
+        grid: Taps2::<E>::new(spec, init.stride() as isize),
+        scratch: Taps2::<E>::new(spec, slots[0].stride as isize),
+    };
     let scratch: Vec<Mutex<Scratch<E>>> = slots.into_iter().map(Mutex::new).collect();
 
     // First superstep reads `init` directly; the second buffer is only

@@ -570,7 +570,7 @@ pub fn try_apply_2d_capped<E: NativeElement>(
         cap
     );
     a.check_stencil(spec.radius(), b)?;
-    let taps = Taps2::<E>::new(spec);
+    let taps = Taps2::<E>::new(spec, a.stride() as isize);
     let (h, w) = (a.h(), a.w());
     let (a_org, a_stride) = (a.origin() as isize, a.stride() as isize);
     let (b_org, b_stride) = (b.origin(), b.stride());

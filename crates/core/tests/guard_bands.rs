@@ -97,13 +97,13 @@ fn random_specs(dims: usize, seed: u64, count: usize) -> Vec<StencilSpec> {
 
 fn specs_2d() -> Vec<StencilSpec> {
     let mut specs = presets::suite_2d();
-    specs.extend(random_specs(2, 0x6a12_d5, 6));
+    specs.extend(random_specs(2, 0x006a_12d5, 6));
     specs
 }
 
 fn specs_3d() -> Vec<StencilSpec> {
     let mut specs = presets::suite_3d();
-    specs.extend(random_specs(3, 0x3d_9a4d, 4));
+    specs.extend(random_specs(3, 0x003d_9a4d, 4));
     specs
 }
 

@@ -265,3 +265,122 @@ fn time_steps_reuses_pool_threads_across_sweeps_and_calls() {
         );
     }
 }
+
+/// Bit access per element type for the edge-case checks below.
+trait Bits: hstencil_core::NativeElement {
+    fn bits(self) -> u64;
+    fn is_nan(self) -> bool;
+    fn special(k: u64) -> Self;
+}
+
+impl Bits for f64 {
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn is_nan(self) -> bool {
+        f64::is_nan(self)
+    }
+    fn special(k: u64) -> f64 {
+        [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0][k as usize % 6]
+    }
+}
+
+impl Bits for f32 {
+    fn bits(self) -> u64 {
+        self.to_bits() as u64
+    }
+    fn is_nan(self) -> bool {
+        f32::is_nan(self)
+    }
+    fn special(k: u64) -> f32 {
+        [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -0.0][k as usize % 6]
+    }
+}
+
+/// `spec` with the coefficient at table index `k` set to zero — the
+/// preset's shape, one tap short, so the chain takes the runtime-length
+/// body instead of the unrolled one.
+fn drop_tap(spec: &StencilSpec, k: usize) -> StencilSpec {
+    let r = spec.radius() as isize;
+    let n = 2 * r + 1;
+    let mut table: Vec<f64> = (0..n * n).map(|t| spec.c2(t / n - r, t % n - r)).collect();
+    assert_ne!(table[k], 0.0, "{}: tap {k} is already zero", spec.name());
+    table[k] = 0.0;
+    StencilSpec::new_2d(
+        format!("{}-minus-{k}", spec.name()),
+        spec.pattern(),
+        r as usize,
+        table,
+    )
+}
+
+/// Every canonical dispatch against the scalar chain, on inputs seeded
+/// with signed zeros, infinities and NaNs, at widths covering the
+/// two-register main loop, the one-register remainder and the scalar
+/// tail of every lane count (4, 8 and 16 lanes), and heights covering
+/// row pairs and the odd single row. Finite outputs and zeros must
+/// match bit for bit (sign included); a NaN output must be NaN on
+/// every path.
+fn edge_cases<E: Bits>() {
+    use hstencil_core::native::ChainBody;
+    use hstencil_core::Grid2dT;
+    let specs = [
+        drop_tap(&hstencil_core::presets::star2d5p(), 1),
+        drop_tap(&hstencil_core::presets::box2d9p(), 4),
+        drop_tap(&hstencil_core::presets::box2d25p(), 0),
+        drop_tap(&hstencil_core::presets::star2d9p(), 12),
+        hstencil_core::presets::heat2d(),
+        hstencil_core::presets::star2d13p(),
+    ];
+    for (si, spec) in specs.iter().enumerate() {
+        let unrolled = ChainBody::of(spec.points()) != ChainBody::Runtime;
+        assert_eq!(unrolled, si >= 4, "{}: wrong body under test", spec.name());
+        let r = spec.radius();
+        for h in [r + 1, r + 2] {
+            for w in (r + 1)..=70 {
+                let mut cell = 0u64;
+                let a = Grid2dT::<E>::from_fn(h, w, r, |i, j| {
+                    cell += 1;
+                    let hash = (cell ^ (si as u64) << 20).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58;
+                    if hash < 12 {
+                        E::special(hash)
+                    } else {
+                        E::from_f64(((i * 7 + j * 3) % 11) as f64 * 0.25 - 1.25)
+                    }
+                });
+                let mut want = Grid2dT::<E>::zeros(h, w, r);
+                native::apply_2d_with(Dispatch::Scalar, spec, &a, &mut want);
+                for d in Dispatch::candidates() {
+                    let mut got = Grid2dT::<E>::zeros(h, w, r);
+                    native::apply_2d_with(d, spec, &a, &mut got);
+                    for i in 0..h as isize {
+                        for j in 0..w as isize {
+                            let (g, s) = (got.at(i, j), want.at(i, j));
+                            let same = if s.is_nan() {
+                                g.is_nan()
+                            } else {
+                                g.bits() == s.bits()
+                            };
+                            assert!(
+                                same,
+                                "{} {d:?} {} {h}x{w} at ({i},{j}): {g:?} vs scalar {s:?}",
+                                E::DTYPE.label(),
+                                spec.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn special_values_and_runtime_chains_stay_bit_identical_f64() {
+    edge_cases::<f64>();
+}
+
+#[test]
+fn special_values_and_runtime_chains_stay_bit_identical_f32() {
+    edge_cases::<f32>();
+}
