@@ -39,6 +39,7 @@ use hstencil_core::native::{self, baseline, pool::ThreadPool};
 use hstencil_core::{
     presets, Dispatch, Dtype, Grid2d, Grid2dT, Grid3d, NativeElement, StencilSpec,
 };
+use hstencil_testkit::outln;
 use hstencil_testkit::{Harness, Json, Summary, ToJson};
 
 /// One (stencil, size, sweeps, threads, kernel, dtype) measurement
@@ -576,7 +577,7 @@ fn main() {
             }
         }
     } else {
-        println!("native2d_avx512 group skipped: host lacks avx512f");
+        outln!("native2d_avx512 group skipped: host lacks avx512f");
         skipped_groups.push("native2d_avx512");
     }
     // Multi-sweep (sweeps=8): naive ping-pong vs the temporal trapezoid
@@ -629,7 +630,7 @@ fn main() {
             );
         }
     } else {
-        println!("native2d_tempvec group skipped: host lacks AVX2");
+        outln!("native2d_tempvec group skipped: host lacks AVX2");
         skipped_groups.push("native2d_tempvec");
     }
 
@@ -711,13 +712,13 @@ fn main() {
     // A filtered run records too few rows to judge and gets no ratios.
     let artifact = gates::Artifact::from_json(&doc);
     if let Err(e) = &artifact {
-        println!("no speedup_* fields: {e}");
+        outln!("no speedup_* fields: {e}");
     }
     if let (Ok(artifact), Json::Obj(fields)) = (&artifact, &mut doc) {
         for entry in gates::table().iter().filter(|e| e.applies_to(artifact)) {
             let ratio = entry.reading(artifact).ok();
             if let Some(r) = ratio {
-                println!("speedup_{}: {r:.2}x", entry.name);
+                outln!("speedup_{}: {r:.2}x", entry.name);
             }
             fields.push((format!("speedup_{}", entry.name), ratio.to_json()));
         }
@@ -734,7 +735,7 @@ fn main() {
                 .join("BENCH_native.json")
         });
     match std::fs::write(&path, doc.to_pretty() + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
+        Ok(()) => outln!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("error: failed to write {}: {e}", path.display());
             std::process::exit(1);

@@ -26,6 +26,7 @@
 use hstencil_core::native::threads;
 use hstencil_serve::{job_for, run_open_loop, Pace, ServeConfig, Server};
 use hstencil_testkit::load::{self, ScheduleSpec};
+use hstencil_testkit::outln;
 use hstencil_testkit::{Json, ToJson};
 use std::time::Instant;
 
@@ -176,7 +177,7 @@ fn main() {
     ];
 
     for r in &rows {
-        println!(
+        outln!(
             "{}: {} jobs ({} rejected, {} failed), p50 {:.3} ms, p99 {:.3} ms, \
              {:.0} jobs/s, mean batch {:.2}",
             r.name,
@@ -214,7 +215,7 @@ fn main() {
                 .join("BENCH_serve.json")
         });
     match std::fs::write(&path, doc.to_pretty() + "\n") {
-        Ok(()) => println!("wrote {}", path.display()),
+        Ok(()) => outln!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("error: failed to write {}: {e}", path.display());
             std::process::exit(1);

@@ -39,6 +39,7 @@
 //! `--fail-on-regression`) or malformed input, 2 unreadable file.
 
 use hstencil_bench::gates;
+use hstencil_testkit::outln;
 use hstencil_testkit::Json;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -225,7 +226,7 @@ fn main() {
     }
     let (old_art, new_art) = (load(&paths[0]), load(&paths[1]));
     for notice in group_notices(&old_art.groups, &new_art.groups) {
-        println!("{notice}");
+        outln!("{notice}");
     }
     let (old, new) = (old_art.cases, new_art.cases);
 
@@ -233,7 +234,7 @@ fn main() {
     let mut compared = 0usize;
     for (key, &old_s) in &old {
         let Some(&new_s) = new.get(key) else {
-            println!("removed    {key} (old {old_s:.4}s){}", annotate(key));
+            outln!("removed    {key} (old {old_s:.4}s){}", annotate(key));
             continue;
         };
         compared += 1;
@@ -246,14 +247,14 @@ fn main() {
         } else {
             "ok       "
         };
-        println!(
+        outln!(
             "{mark}  {key}: {ratio:.2}x (old {old_s:.4}s -> new {new_s:.4}s){}",
             annotate(key)
         );
     }
     for (key, &new_s) in &new {
         if !old.contains_key(key) {
-            println!("added      {key} (new {new_s:.4}s){}", annotate(key));
+            outln!("added      {key} (new {new_s:.4}s){}", annotate(key));
         }
     }
     // Per-thread-count scaling: fold each artifact's cases into
@@ -286,7 +287,7 @@ fn main() {
     bases.sort();
     bases.dedup();
     if !bases.is_empty() {
-        println!("--- scaling (t-vs-t1 wall-clock ratio; higher is better) ---");
+        outln!("--- scaling (t-vs-t1 wall-clock ratio; higher is better) ---");
     }
     for base in bases {
         let render = |c: Option<&BTreeMap<u64, f64>>| -> String {
@@ -300,13 +301,13 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
-        println!(
+        outln!(
             "scaling    {base}: old [{}] -> new [{}]",
             render(old_curves.get(base)),
             render(new_curves.get(base))
         );
     }
-    println!(
+    outln!(
         "bench_diff: {compared} cases compared, {regressions} below the {threshold:.2} threshold"
     );
     if fail_on_regression && regressions > 0 {

@@ -14,6 +14,7 @@
 //! gate failure, 2 missing/unreadable.
 
 use hstencil_bench::gates::{self, Artifact, Outcome};
+use hstencil_testkit::outln;
 use hstencil_testkit::Json;
 
 fn fail(code: i32, msg: String) -> ! {
@@ -51,14 +52,14 @@ fn main() {
         let name = &entry.name;
         match entry.judge(&art) {
             None => {}
-            Some(Outcome::Ok(v, bound)) => println!("check_bench_json: {name} ok ({v:.2} {bound})"),
-            Some(Outcome::Skipped(why)) => println!("check_bench_json: {name} SKIPPED ({why})"),
+            Some(Outcome::Ok(v, bound)) => outln!("check_bench_json: {name} ok ({v:.2} {bound})"),
+            Some(Outcome::Skipped(why)) => outln!("check_bench_json: {name} SKIPPED ({why})"),
             Some(Outcome::Fail(why)) => {
                 fail(1, format!("{path}: {tier} gate {name} failed: {why}"))
             }
         }
     }
-    println!("check_bench_json: {path} ok ({tier} tier)");
+    outln!("check_bench_json: {path} ok ({tier} tier)");
 }
 
 #[cfg(test)]

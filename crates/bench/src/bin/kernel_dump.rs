@@ -13,6 +13,7 @@ use hstencil_core::kernels::{
     Plane,
 };
 use hstencil_core::{presets, Method, StencilSpec};
+use hstencil_testkit::{out, outln};
 use lx2_isa::{Program, VLEN};
 use lx2_sim::{Machine, MachineConfig};
 
@@ -87,7 +88,7 @@ fn main() {
     let mut prog = Program::new();
     kernel.emit_tile(&ctx, 0, 0, &mut prog);
 
-    println!(
+    outln!(
         "# {} tile for {} on {} — {} instructions",
         kernel.name(),
         spec.name(),
@@ -95,9 +96,13 @@ fn main() {
         prog.len()
     );
     let mix = prog.mix();
-    println!(
+    outln!(
         "# mix: {} fmopa, {} fmla, {} ext, {} prefetch, pipes v/m/l/s = {:?}\n",
-        mix.fmopa, mix.fmla, mix.ext, mix.prefetch, mix.per_pipe
+        mix.fmopa,
+        mix.fmla,
+        mix.ext,
+        mix.prefetch,
+        mix.per_pipe
     );
-    print!("{prog}");
+    out!("{prog}");
 }

@@ -2,6 +2,7 @@
 use hstencil_bench::fmt::{f2, Table};
 use hstencil_bench::runner::run_method;
 use hstencil_core::{presets, Method};
+use hstencil_testkit::outln;
 use lx2_sim::MachineConfig;
 
 fn main() {
@@ -26,8 +27,8 @@ fn main() {
                 f2(r.l1_load_hit_rate() * 100.0),
             ]);
         }
-        println!("{}", t.render());
-        println!(
+        outln!("{}", t.render());
+        outln!(
             "speedup HStencil vs auto: {:.2}x",
             run_method(&cfg, &spec, Method::HStencil, 128, 1, 1).speedup_over(&base)
         );

@@ -7,6 +7,7 @@
 //! ```
 
 use hstencil_core::{presets, Kernel, KernelCtx, Method, Plane};
+use hstencil_testkit::outln;
 use lx2_isa::{Program, VLEN};
 use lx2_sim::{execute_traced, Machine, MachineConfig};
 
@@ -50,7 +51,7 @@ fn trace_one_tile(scheduling: bool) {
     // Warm the caches so the timeline shows the schedule, not cold misses.
     mach.execute(&prog).expect("warmup");
     let trace = execute_traced(&mut mach, &prog).expect("trace");
-    println!(
+    outln!(
         "== {} ==  ({} instructions, IPC {:.2}, {} bubble cycles)",
         if scheduling {
             "with scheduling"
@@ -61,13 +62,13 @@ fn trace_one_tile(scheduling: bool) {
         trace.ipc(),
         trace.bubble_cycles(),
     );
-    println!("{}", trace.render_timeline(160));
+    outln!("{}", trace.render_timeline(160));
 }
 
 fn main() {
     trace_one_tile(false);
     trace_one_tile(true);
-    println!(
+    outln!(
         "Legend: '#' one issue that cycle on that pipe, '2' more than one, \
          '.' idle.\nScheduling merges the prep/matrix/vector/store streams so \
          every pipe stays fed (paper Figure 10)."

@@ -1,5 +1,6 @@
 //! Plain-text table formatting for experiment output.
 
+use hstencil_testkit::outln;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -89,7 +90,7 @@ impl Table {
     /// non-zero (see [`crate::runner::exit_code`]).
     pub fn emit(&self, id: &str) {
         let text = self.render();
-        println!("{text}");
+        outln!("{text}");
         if let Err(e) = std::fs::create_dir_all("results")
             .and_then(|()| std::fs::write(Path::new("results").join(format!("{id}.txt")), &text))
         {
@@ -171,7 +172,7 @@ impl BarChart {
     /// non-zero (see [`crate::runner::exit_code`]).
     pub fn emit(&self, id: &str) {
         let text = self.render(48);
-        println!("{text}");
+        outln!("{text}");
         if let Err(e) = std::fs::create_dir_all("results")
             .and_then(|()| std::fs::write(format!("results/{id}.chart.txt"), &text))
         {

@@ -12,6 +12,7 @@
 //! A substring filter can be passed on the command line (as `cargo bench
 //! -- <filter>` does) to run a subset of benchmarks.
 
+use crate::outln;
 use std::time::Instant;
 
 /// Summary statistics over one benchmark's timed samples (seconds).
@@ -132,7 +133,7 @@ impl BenchGroup<'_> {
             Some(n) if s.median > 0.0 => format!("  ({}/s)", si(n as f64 / s.median)),
             _ => String::new(),
         };
-        println!(
+        outln!(
             "{full:<40} median {}  p10 {}  p90 {}{tput}",
             time(s.median),
             time(s.p10),

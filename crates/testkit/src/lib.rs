@@ -21,6 +21,8 @@
 //! * [`load`] — seeded open-loop arrival schedules and exact p50/p99
 //!   latency order statistics for the serve harness (`crates/serve`),
 //!   sharing the `TESTKIT_SEED` replay convention with [`prop`].
+//! * [`mod@out`] — [`outln!`]/[`out!`], `println!`/`print!` for report
+//!   binaries that exit quietly when their reader closes the pipe.
 //!
 //! The crate deliberately has **no dependencies** — it is the leaf of the
 //! workspace graph and every other crate may use it from either
@@ -29,6 +31,7 @@
 pub mod bench;
 pub mod json;
 pub mod load;
+pub mod out;
 pub mod prop;
 pub mod rng;
 

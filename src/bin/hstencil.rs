@@ -10,12 +10,15 @@
 //!
 //! `dispatch` prints the native kernel the auto entry points
 //! (`apply_2d_parallel`, `time_steps`) resolve for that sweep on this
-//! host, after env pins, tune plans and heuristics.
+//! host, after env pins, tune plans and heuristics, and the body that
+//! kernel runs for the stencil (`body=chain<5>` for an unrolled
+//! five-tap lane body, `body=chain<runtime>` for any other tap count).
 
 use hstencil::isa::assemble;
 use hstencil::native::{tune, Dispatch};
 use hstencil::sim::{Machine, MachineConfig};
 use hstencil::{presets, Dtype, Grid2d, Method, StencilPlan, StencilSpec};
+use hstencil_testkit::outln;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -75,9 +78,9 @@ fn workload(n: usize, halo: usize) -> Grid2d {
 }
 
 fn cmd_list() -> ExitCode {
-    println!("stencils:");
+    outln!("stencils:");
     for s in presets::suite_2d() {
-        println!(
+        outln!(
             "  {:<10} {:?} r={} ({} points)",
             s.name(),
             s.pattern(),
@@ -85,8 +88,8 @@ fn cmd_list() -> ExitCode {
             s.points()
         );
     }
-    println!("\nmethods:   auto, vector, matrix (STOP), ortho, naive, hstencil");
-    println!("machines:  lx2, m4");
+    outln!("\nmethods:   auto, vector, matrix (STOP), ortho, naive, hstencil");
+    outln!("machines:  lx2, m4");
     ExitCode::SUCCESS
 }
 
@@ -138,8 +141,8 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
     match plan.run_2d(&cfg, &workload(size, spec.radius())) {
         Ok(out) => {
             let r = &out.report;
-            println!("{r}");
-            println!(
+            outln!("{r}");
+            outln!(
                 "  {} instructions, {:.3} cycles/point, {:.1} GFLOP/s, simulated {:.3} ms",
                 r.counters.instructions,
                 r.cycles_per_point(),
@@ -147,7 +150,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> ExitCode {
                 r.time_ms()
             );
             if let Some(u) = r.matrix_utilization() {
-                println!("  matrix-unit utilization {:.1}%", u * 100.0);
+                outln!("  matrix-unit utilization {:.1}%", u * 100.0);
             }
             ExitCode::SUCCESS
         }
@@ -173,7 +176,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let grid = workload(size, spec.radius());
-    println!("{} {}x{} on {}:", spec.name(), size, size, cfg.name);
+    outln!("{} {}x{} on {}:", spec.name(), size, size, cfg.name);
     let mut baseline = None;
     for method in Method::ALL {
         match StencilPlan::new(&spec, method)
@@ -183,7 +186,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> ExitCode {
             Ok(out) => {
                 let c = out.report.cycles();
                 let base = *baseline.get_or_insert(c);
-                println!(
+                outln!(
                     "  {:<13} {:>12} cycles  IPC {:>5.2}  {:>6.2}x",
                     method.label(),
                     c,
@@ -191,7 +194,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> ExitCode {
                     base as f64 / c as f64
                 );
             }
-            Err(e) => println!("  {:<13} unsupported ({e})", method.label()),
+            Err(e) => outln!("  {:<13} unsupported ({e})", method.label()),
         }
     }
     ExitCode::SUCCESS
@@ -217,12 +220,14 @@ fn cmd_dispatch(flags: &HashMap<String, String>) -> ExitCode {
     };
     let threads = hstencil::native::threads::resolve(threads);
     let class = tune::ShapeClass::of_dtype(size, size, dtype);
-    println!(
-        "{} {size}x{size} {} threads={threads} ({class:?}, tuning {}): {}",
+    let dispatch = Dispatch::for_sweep_dtype(&spec, size, size, threads, dtype);
+    outln!(
+        "{} {size}x{size} {} threads={threads} ({class:?}, tuning {}): {} body={}",
         spec.name(),
         dtype.label(),
         if tune::enabled() { "on" } else { "off" },
-        Dispatch::for_sweep_dtype(&spec, size, size, threads, dtype).label()
+        dispatch.label(),
+        dispatch.body_label(&spec)
     );
     ExitCode::SUCCESS
 }
@@ -247,7 +252,7 @@ fn cmd_asm(path: &str) -> ExitCode {
     match machine.execute(&program) {
         Ok(()) => {
             let c = machine.counters();
-            println!(
+            outln!(
                 "{} instructions in {} cycles (IPC {:.2}); L1 {}/{} hits",
                 c.instructions,
                 c.cycles,
