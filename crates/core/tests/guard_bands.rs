@@ -8,8 +8,8 @@
 //! slack left of column `-r` and right of column `w + r` there is one
 //! extra halo row and column that no tap may reach. The input holds
 //! finite values exactly on the `[-r, h + r) x [-r, w + r)` window and
-//! a NaN payload everywhere else; the output is NaN everywhere before
-//! the sweep. After the sweep, every interior output must be finite
+//! a NaN payload everywhere else; the output holds a second NaN
+//! payload everywhere before the sweep. After the sweep, every interior output must be finite
 //! and bit-equal to the scalar chain, every other output cell must keep
 //! its payload, and the input must be bit-unchanged.
 //!
@@ -23,15 +23,20 @@ use hstencil_core::native::{self, Dispatch};
 use hstencil_core::{presets, Grid2dT, Grid3dT, NativeElement, Pattern, StencilSpec};
 use hstencil_testkit::rng::{Rng, Xoshiro256};
 
-/// Bit access and a recognisable NaN payload per element type.
+/// Bit access and two recognisable NaN payloads per element type: the
+/// input's padding and the output's. They differ because a read of an
+/// input `POISON` cell propagates that payload through the FMA chain,
+/// so a stray store of such a result into the output must still show.
 trait Guarded: NativeElement {
     const POISON: Self;
+    const SENTINEL: Self;
     fn bits(self) -> u64;
     fn is_finite(self) -> bool;
 }
 
 impl Guarded for f64 {
     const POISON: f64 = f64::from_bits(0x7ff8_dead_beef_0001);
+    const SENTINEL: f64 = f64::from_bits(0x7ff8_0bad_f00d_0002);
     fn bits(self) -> u64 {
         self.to_bits()
     }
@@ -42,6 +47,7 @@ impl Guarded for f64 {
 
 impl Guarded for f32 {
     const POISON: f32 = f32::from_bits(0x7fc0_beef);
+    const SENTINEL: f32 = f32::from_bits(0x7fc0_0bad);
     fn bits(self) -> u64 {
         self.to_bits() as u64
     }
@@ -137,7 +143,7 @@ fn guarded_input_3d<E: Guarded>(d: usize, h: usize, w: usize, r: usize, seed: u6
 }
 
 /// Checks one swept output against the scalar output: interior finite
-/// and bit-equal, every other cell still the poison payload.
+/// and bit-equal, every other cell still the sentinel payload.
 fn check_output<E: Guarded>(
     got: &[E],
     want: &[E],
@@ -161,7 +167,7 @@ fn check_output<E: Guarded>(
         } else {
             assert_eq!(
                 g.bits(),
-                E::POISON.bits(),
+                E::SENTINEL.bits(),
                 "{}: padding cell {n} was written",
                 what()
             );
@@ -177,14 +183,14 @@ fn guard_2d<E: Guarded>() {
                 let a = guarded_input_2d::<E>(h, w, r, (si * 1000 + h * 41 + w) as u64);
                 let a_bits: Vec<u64> = a.raw().iter().map(|v| v.bits()).collect();
                 let mut want = Grid2dT::<E>::zeros(h, w, r + 1);
-                want.raw_mut().fill(E::POISON);
+                want.raw_mut().fill(E::SENTINEL);
                 native::apply_2d_with(Dispatch::Scalar, spec, &a, &mut want);
                 let (org, stride) = (want.origin(), want.stride());
                 let interior =
                     |n: usize| n >= org && (n - org) / stride < h && (n - org) % stride < w;
                 for d in Dispatch::candidates() {
                     let mut got = Grid2dT::<E>::zeros(h, w, r + 1);
-                    got.raw_mut().fill(E::POISON);
+                    got.raw_mut().fill(E::SENTINEL);
                     native::apply_2d_with(d, spec, &a, &mut got);
                     let what = || format!("{} {d:?} {} {h}x{w}", E::DTYPE.label(), spec.name());
                     check_output(got.raw(), want.raw(), interior, &what);
@@ -205,7 +211,7 @@ fn guard_3d<E: Guarded>() {
                 let a = guarded_input_3d::<E>(d, h, w, r, (si * 1000 + h * 41 + w) as u64);
                 let a_bits: Vec<u64> = a.raw().iter().map(|v| v.bits()).collect();
                 let mut want = Grid3dT::<E>::zeros(d, h, w, r + 1);
-                want.raw_mut().fill(E::POISON);
+                want.raw_mut().fill(E::SENTINEL);
                 native::apply_3d_with(Dispatch::Scalar, spec, &a, &mut want);
                 let (org, ps, stride) = (want.origin(), want.plane_stride(), want.stride());
                 let interior = |n: usize| {
@@ -216,7 +222,7 @@ fn guard_3d<E: Guarded>() {
                 };
                 for disp in Dispatch::candidates() {
                     let mut got = Grid3dT::<E>::zeros(d, h, w, r + 1);
-                    got.raw_mut().fill(E::POISON);
+                    got.raw_mut().fill(E::SENTINEL);
                     native::apply_3d_with(disp, spec, &a, &mut got);
                     let what =
                         || format!("{} {disp:?} {} {d}x{h}x{w}", E::DTYPE.label(), spec.name());
