@@ -46,10 +46,10 @@
 //! one rounding per step — the column offset and the row a lane belongs
 //! to change which `x` it loads, never the order or the operation. The
 //! column remainder runs one register per row, and the last
-//! `< LANES` columns run the scalar chain ([`scalar_point`]) itself, so
-//! no column anywhere reassociates. Zero taps are not in the chain at
-//! all (and the scalar chain skips them too), so dropping the old
-//! `c != 0.0` branches changes no step.
+//! `< LANES` columns walk the same chain with the scalar `mul_add`, so
+//! no column anywhere reassociates. Zero taps are in neither the chain
+//! nor the scalar anchor ([`scalar_point`]), so having no
+//! `c != 0.0` branch in the body changes no step.
 //!
 //! The band walk that drives the bodies is the shared
 //! [`TileKernel::sweep_band`] default in [`super::kernel`].
@@ -94,9 +94,12 @@ pub enum ChainBody {
 }
 
 impl ChainBody {
-    /// Chain lengths with an unrolled body: the preset shapes (star and
-    /// heat r1 = 5, star r2 and box r1 = 9, star r3 = 13, box r2 = 25).
-    pub const UNROLLED: [usize; 4] = [5, 9, 13, 25];
+    /// Chain lengths with an unrolled body: the 2-D preset shapes (star
+    /// and heat r1 = 5, star r2 and box r1 = 9, star r3 = 13, box
+    /// r2 = 25) and the 3-D star r1 = 7 (3-D star r2 is 13 as well).
+    /// The long box chains (27, 49 taps) spill their coefficients
+    /// anyway and run the runtime body.
+    pub const UNROLLED: [usize; 5] = [5, 7, 9, 13, 25];
 
     /// The body a chain of `len` taps runs — the one decision both the
     /// kernels and `hstencil dispatch` read.
@@ -280,14 +283,13 @@ unsafe fn hint_step<E: Element>(
     }
 }
 
-/// Where one lane-body call prefetches: the input row `deep` elements
-/// from the first output's centre, then `rows` rows below it `step`
-/// apart (and `pf.dst_cols` ahead on each output row).
+/// Where one lane-body call prefetches: `pf.input_rows` input rows
+/// `row_step` apart, starting `deep` elements from the first output's
+/// centre (and `pf.dst_cols` ahead on each output row).
 #[derive(Clone, Copy)]
 pub(crate) struct Hints {
     pub(crate) pf: Prefetch,
     pub(crate) deep: isize,
-    pub(crate) step: isize,
 }
 
 impl Hints {
@@ -295,7 +297,6 @@ impl Hints {
     pub(crate) const OFF: Hints = Hints {
         pf: Prefetch::OFF,
         deep: 0,
-        step: 0,
     };
 
     /// The 2-D streams for `rows` output rows at radius `r`: input rows
@@ -304,7 +305,6 @@ impl Hints {
         Hints {
             pf,
             deep: (r + rows) * stride,
-            step: stride,
         }
     }
 }
@@ -317,9 +317,9 @@ impl Hints {
 ///
 /// # Safety
 /// The host must run `L`'s instructions, this function must be inlined
-/// into a `#[target_feature]` entry point that enables them, and `a`
-/// must hold every tap read of every output (the padded-grid halo
-/// contract).
+/// into a `#[target_feature]` entry point that enables them, every
+/// `dst[q]` must be as long as `dst[0]`, and `a` must hold every tap
+/// read of every output (the padded-grid halo contract).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
@@ -327,10 +327,11 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
     a: &[L::Elem],
     base: isize,
     row_step: isize,
-    dst: [&mut [L::Elem]; R],
+    mut dst: [&mut [L::Elem]; R],
     hints: Hints,
 ) {
     debug_assert!(N == 0 || N == chain.len());
+    debug_assert!(dst.iter().all(|d| d.len() == dst[0].len()));
     let n = if N == 0 { chain.len() } else { N };
     let (off, cs) = (&chain.off[..n], &chain.c[..n]);
     // Broadcast once per row call; the runtime-length body broadcasts
@@ -339,7 +340,6 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
     for k in 0..N {
         cv[k] = L::splat(cs[k]);
     }
-    let mut dst = dst;
     let jw = dst[0].len();
     let ap = a.as_ptr();
     let lanes = L::LANES;
@@ -351,7 +351,7 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
         hint_step(
             ap,
             base + hints.deep + j as isize,
-            hints.step,
+            row_step,
             hints.pf.input_rows,
             &hint_dsts,
             j,
@@ -397,6 +397,9 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
 }
 
 /// [`lane_body`] at the chain length [`ChainBody::of`] picks.
+///
+/// # Safety
+/// As [`lane_body`].
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 unsafe fn by_len<L: Lanes, const R: usize>(
@@ -409,6 +412,7 @@ unsafe fn by_len<L: Lanes, const R: usize>(
 ) {
     match ChainBody::of(chain.len()) {
         ChainBody::Unrolled(5) => lane_body::<L, 5, R>(chain, a, base, row_step, dst, hints),
+        ChainBody::Unrolled(7) => lane_body::<L, 7, R>(chain, a, base, row_step, dst, hints),
         ChainBody::Unrolled(9) => lane_body::<L, 9, R>(chain, a, base, row_step, dst, hints),
         ChainBody::Unrolled(13) => lane_body::<L, 13, R>(chain, a, base, row_step, dst, hints),
         ChainBody::Unrolled(25) => lane_body::<L, 25, R>(chain, a, base, row_step, dst, hints),
@@ -434,10 +438,7 @@ unsafe fn lane_rows<L: Lanes>(
     hints: Hints,
 ) {
     match dst1 {
-        Some(d1) => {
-            debug_assert_eq!(dst0.len(), d1.len());
-            by_len::<L, 2>(chain, a, base, row_step, [dst0, d1], hints)
-        }
+        Some(d1) => by_len::<L, 2>(chain, a, base, row_step, [dst0, d1], hints),
         None => by_len::<L, 1>(chain, a, base, row_step, [dst0], hints),
     }
 }
@@ -519,6 +520,28 @@ mod tests {
         assert_eq!(ChainBody::of(4), ChainBody::Runtime);
         assert_eq!(ChainBody::of(0).label(), "chain<runtime>");
         assert_eq!(ChainBody::of(9).label(), "chain<9>");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_unrolled_length_has_a_body() {
+        if !Dispatch::avx2_available() {
+            return;
+        }
+        let a: Vec<f64> = (0..64).map(|x| x as f64 * 0.37).collect();
+        for n in ChainBody::UNROLLED {
+            let chain = Chain::new((0..n).map(|k| (k as isize, 1.0 + k as f64)));
+            let mut d = vec![0.0; 21];
+            // SAFETY: AVX2 + FMA checked above; every read `j + k`
+            // stays below 21 + 25 <= 64.
+            unsafe {
+                rows_avx2::<std::arch::x86_64::__m256d>(&chain, &a, 0, 0, &mut d, None, Hints::OFF)
+            };
+            for (j, &v) in d.iter().enumerate() {
+                let want = (0..n).fold(0.0, |acc, k| (1.0 + k as f64).mul_add(a[j + k], acc));
+                assert_eq!(v, want, "chain<{n}> column {j}");
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,10 @@
 //!    every micro-kernel is an instance of the `TileKernel<E>` trait
 //!    (scalar, AVX2+FMA, AVX-512, hybrid 8×8) over an
 //!    [`Element`] type (`f64` or `f32`), so
-//!    one generic band driver serves every (kernel × dtype) pair.
+//!    one generic band driver serves every (kernel × dtype) pair, and
+//!    the AVX2 and AVX-512 instances share one lane body over a
+//!    [`kernel::Lanes`] register type that runs each sweep's flattened
+//!    tap chain, unrolled for the preset lengths ([`ChainBody`]).
 //!    [`Dispatch::Avx512`] is runtime-detected and deliberately kept
 //!    *out* of the auto heuristics (recorded plans and goldens stay
 //!    byte-stable); it is reachable via [`Dispatch::candidates`], the
