@@ -213,8 +213,9 @@ pub trait TileKernel<E: Element> {
     /// # Safety
     ///
     /// Caller must have verified [`TileKernel::available`] (the body
-    /// may execute ISA extensions), and `a` must cover every tap read
-    /// of both rows (the padded-grid halo contract).
+    /// may execute ISA extensions), `stride` must be the row stride
+    /// `taps` was built for, and `a` must cover every tap read of both
+    /// rows (the padded-grid halo contract).
     unsafe fn execute(
         taps: &Taps2<E>,
         a: &[E],
@@ -233,8 +234,9 @@ pub trait TileKernel<E: Element> {
     ///
     /// # Safety
     ///
-    /// Same contract as [`TileKernel::execute`], with `a` covering the
-    /// plane-neighbour reads too.
+    /// Same contract as [`TileKernel::execute`], with `taps` built for
+    /// `(plane_stride, stride)` and `a` covering the plane-neighbour
+    /// reads too.
     unsafe fn execute3(
         taps: &Taps3<E>,
         a: &[E],

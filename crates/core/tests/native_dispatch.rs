@@ -318,7 +318,8 @@ fn drop_tap(spec: &StencilSpec, k: usize) -> StencilSpec {
 /// with signed zeros, infinities and NaNs, at widths covering the
 /// two-register main loop, the one-register remainder and the scalar
 /// tail of every lane count (4, 8 and 16 lanes), and heights covering
-/// row pairs and the odd single row. Finite outputs and zeros must
+/// row pairs and the odd single row, plus an all-`-0.0` input. Finite
+/// outputs and zeros must
 /// match bit for bit (sign included); a NaN output must be NaN on
 /// every path.
 fn edge_cases<E: Bits>() {
@@ -336,13 +337,17 @@ fn edge_cases<E: Bits>() {
         let unrolled = ChainBody::of(spec.points()) != ChainBody::Runtime;
         assert_eq!(unrolled, si >= 4, "{}: wrong body under test", spec.name());
         let r = spec.radius();
-        for h in [r + 1, r + 2] {
+        // All-negative-zero inputs make every product -0.0, so the
+        // result's sign shows whether a chain starts from +0.0.
+        for (h, all_neg_zero) in [(r + 1, false), (r + 2, false), (r + 2, true)] {
             for w in (r + 1)..=70 {
                 let mut cell = 0u64;
                 let a = Grid2dT::<E>::from_fn(h, w, r, |i, j| {
                     cell += 1;
                     let hash = (cell ^ (si as u64) << 20).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58;
-                    if hash < 12 {
+                    if all_neg_zero {
+                        E::special(0)
+                    } else if hash < 12 {
                         E::special(hash)
                     } else {
                         E::from_f64(((i * 7 + j * 3) % 11) as f64 * 0.25 - 1.25)
