@@ -44,7 +44,7 @@ use super::prefetch::Prefetch;
 use super::{hybrid, tile, Dispatch};
 use crate::element::Element;
 
-pub use super::kernel2d::{ChainBody, Taps2};
+pub use super::kernel2d::Taps2;
 pub use super::kernel3d::Taps3;
 
 /// One SIMD register of [`Lanes::LANES`] elements: the five operations

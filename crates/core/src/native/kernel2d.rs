@@ -29,11 +29,13 @@
 //! The body never interprets the stencil. [`Taps2::new`] flattens each
 //! output element's chain once per sweep into a [`Chain`]: for tap `k`
 //! in canonical order, the input offset relative to the output's centre
-//! (`di * stride + dj`) and the coefficient, nonzero taps only. A row
-//! call broadcasts the coefficients once, outside the column loop, and
-//! walks the chain as a `const N` loop that LLVM unrolls completely for
-//! the preset chain lengths ([`ChainBody`]); any other length runs the
-//! same body with a runtime trip count.
+//! (`di * stride + dj`) and the coefficient, nonzero taps only. Every
+//! step walks that flat table with a runtime trip count, broadcasting
+//! each coefficient from it as a memory operand (one load, like the
+//! operand loads beside it). Compile-time-length copies of the body for
+//! the preset chain lengths were measured against this one and did not
+//! win reliably (EXPERIMENTS.md, "One lane body"), so there is one body
+//! per register type and row count.
 //!
 //! # Why split per-row chains stay bit-identical
 //!
@@ -77,46 +79,6 @@ impl<E: Copy> Chain<E> {
     pub(crate) fn new(taps: impl Iterator<Item = (isize, E)>) -> Chain<E> {
         let (off, c) = taps.unzip();
         Chain { off, c }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.off.len()
-    }
-}
-
-/// Which lane body a chain of nonzero taps runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChainBody {
-    /// A compile-time-length body, fully unrolled over the chain.
-    Unrolled(usize),
-    /// The same body with a runtime trip count.
-    Runtime,
-}
-
-impl ChainBody {
-    /// Chain lengths with an unrolled body: the 2-D preset shapes (star
-    /// and heat r1 = 5, star r2 and box r1 = 9, star r3 = 13, box
-    /// r2 = 25) and the 3-D star r1 = 7 (3-D star r2 is 13 as well).
-    /// The long box chains (27, 49 taps) spill their coefficients
-    /// anyway and run the runtime body.
-    pub const UNROLLED: [usize; 5] = [5, 7, 9, 13, 25];
-
-    /// The body a chain of `len` taps runs — the one decision both the
-    /// kernels and `hstencil dispatch` read.
-    pub fn of(len: usize) -> ChainBody {
-        if ChainBody::UNROLLED.contains(&len) {
-            ChainBody::Unrolled(len)
-        } else {
-            ChainBody::Runtime
-        }
-    }
-
-    /// `chain<5>`, `chain<runtime>`.
-    pub fn label(self) -> String {
-        match self {
-            ChainBody::Unrolled(n) => format!("chain<{n}>"),
-            ChainBody::Runtime => "chain<runtime>".to_string(),
-        }
     }
 }
 
@@ -311,9 +273,8 @@ impl Hints {
 
 /// The lane body: `R` output rows (`row_step` apart in `a`, each a
 /// `dst[q]` segment of equal length) × `2 * L::LANES` columns per
-/// step, one [`Chain`] of `N` taps per output (`N == 0`: the chain's
-/// own length, at runtime). `base` is the flat index in `a` of the
-/// first output's centre.
+/// step, one [`Chain`] per output. `base` is the flat index in `a` of
+/// the first output's centre.
 ///
 /// # Safety
 /// The host must run `L`'s instructions, this function must be inlined
@@ -322,7 +283,7 @@ impl Hints {
 /// read of every output (the padded-grid halo contract).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
+unsafe fn lane_body<L: Lanes, const R: usize>(
     chain: &Chain<L::Elem>,
     a: &[L::Elem],
     base: isize,
@@ -330,16 +291,9 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
     mut dst: [&mut [L::Elem]; R],
     hints: Hints,
 ) {
-    debug_assert!(N == 0 || N == chain.len());
     debug_assert!(dst.iter().all(|d| d.len() == dst[0].len()));
-    let n = if N == 0 { chain.len() } else { N };
-    let (off, cs) = (&chain.off[..n], &chain.c[..n]);
-    // Broadcast once per row call; the runtime-length body broadcasts
-    // from memory per tap instead (one load either way).
-    let mut cv = [L::zero(); N];
-    for k in 0..N {
-        cv[k] = L::splat(cs[k]);
-    }
+    let (off, cs) = (&chain.off[..], &chain.c[..]);
+    let n = off.len();
     let jw = dst[0].len();
     let ap = a.as_ptr();
     let lanes = L::LANES;
@@ -359,7 +313,7 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
         );
         let mut acc = [[L::zero(); 2]; R];
         for k in 0..n {
-            let c = if N == 0 { L::splat(cs[k]) } else { cv[k] };
+            let c = L::splat(cs[k]);
             for q in 0..R {
                 let p = ap.offset(bases[q] + j as isize + off[k]);
                 acc[q][0] = c.fmadd(L::load(p), acc[q][0]);
@@ -375,7 +329,7 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
     while j + lanes <= jw {
         let mut acc = [L::zero(); R];
         for k in 0..n {
-            let c = if N == 0 { L::splat(cs[k]) } else { cv[k] };
+            let c = L::splat(cs[k]);
             for q in 0..R {
                 acc[q] = c.fmadd(L::load(ap.offset(bases[q] + j as isize + off[k])), acc[q]);
             }
@@ -396,31 +350,6 @@ unsafe fn lane_body<L: Lanes, const N: usize, const R: usize>(
     }
 }
 
-/// [`lane_body`] at the chain length [`ChainBody::of`] picks.
-///
-/// # Safety
-/// As [`lane_body`].
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn by_len<L: Lanes, const R: usize>(
-    chain: &Chain<L::Elem>,
-    a: &[L::Elem],
-    base: isize,
-    row_step: isize,
-    dst: [&mut [L::Elem]; R],
-    hints: Hints,
-) {
-    match ChainBody::of(chain.len()) {
-        ChainBody::Unrolled(5) => lane_body::<L, 5, R>(chain, a, base, row_step, dst, hints),
-        ChainBody::Unrolled(7) => lane_body::<L, 7, R>(chain, a, base, row_step, dst, hints),
-        ChainBody::Unrolled(9) => lane_body::<L, 9, R>(chain, a, base, row_step, dst, hints),
-        ChainBody::Unrolled(13) => lane_body::<L, 13, R>(chain, a, base, row_step, dst, hints),
-        ChainBody::Unrolled(25) => lane_body::<L, 25, R>(chain, a, base, row_step, dst, hints),
-        ChainBody::Unrolled(n) => unreachable!("no unrolled lane body for chain<{n}>"),
-        ChainBody::Runtime => lane_body::<L, 0, R>(chain, a, base, row_step, dst, hints),
-    }
-}
-
 /// One or two output rows (`dst1` is the row `row_step` below `dst0`,
 /// equal length) through the lane body for register type `L`.
 ///
@@ -438,8 +367,8 @@ unsafe fn lane_rows<L: Lanes>(
     hints: Hints,
 ) {
     match dst1 {
-        Some(d1) => by_len::<L, 2>(chain, a, base, row_step, [dst0, d1], hints),
-        None => by_len::<L, 1>(chain, a, base, row_step, [dst0], hints),
+        Some(d1) => lane_body::<L, 2>(chain, a, base, row_step, [dst0, d1], hints),
+        None => lane_body::<L, 1>(chain, a, base, row_step, [dst0], hints),
     }
 }
 
@@ -506,30 +435,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn presets_run_unrolled_bodies_and_other_lengths_the_runtime_one() {
-        for spec in presets::suite_2d() {
-            let n = Taps2::<f64>::new(&spec, 16).chain.len();
-            let want = if spec.name() == "box2d49p" {
-                ChainBody::Runtime
-            } else {
-                ChainBody::Unrolled(n)
-            };
-            assert_eq!(ChainBody::of(n), want, "{}", spec.name());
-        }
-        assert_eq!(ChainBody::of(4), ChainBody::Runtime);
-        assert_eq!(ChainBody::of(0).label(), "chain<runtime>");
-        assert_eq!(ChainBody::of(9).label(), "chain<9>");
-    }
-
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn every_unrolled_length_has_a_body() {
+    fn every_chain_length_replays_the_scalar_chain() {
         if !Dispatch::avx2_available() {
             return;
         }
         let a: Vec<f64> = (0..64).map(|x| x as f64 * 0.37).collect();
-        for n in ChainBody::UNROLLED {
+        for n in 0..=25 {
             let chain = Chain::new((0..n).map(|k| (k as isize, 1.0 + k as f64)));
             let mut d = vec![0.0; 21];
             // SAFETY: AVX2 + FMA checked above; every read `j + k`
@@ -539,7 +452,7 @@ mod tests {
             };
             for (j, &v) in d.iter().enumerate() {
                 let want = (0..n).fold(0.0, |acc, k| (1.0 + k as f64).mul_add(a[j + k], acc));
-                assert_eq!(v, want, "chain<{n}> column {j}");
+                assert_eq!(v, want, "{n} taps, column {j}");
             }
         }
     }

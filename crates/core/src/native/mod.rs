@@ -50,7 +50,7 @@
 //!    one generic band driver serves every (kernel × dtype) pair, and
 //!    the AVX2 and AVX-512 instances share one lane body over a
 //!    [`kernel::Lanes`] register type that runs each sweep's flattened
-//!    tap chain, unrolled for the preset lengths ([`ChainBody`]).
+//!    tap chain.
 //!    [`Dispatch::Avx512`] is runtime-detected and deliberately kept
 //!    *out* of the auto heuristics (recorded plans and goldens stay
 //!    byte-stable); it is reachable via [`Dispatch::candidates`], the
@@ -90,7 +90,7 @@ mod kernel2d;
 mod kernel3d;
 mod tile;
 
-pub use kernel::{ChainBody, NativeElement, TileKernel};
+pub use kernel::{NativeElement, TileKernel};
 pub use prefetch::Prefetch;
 pub use temporal::{time_steps_temporal, time_steps_temporal_in, Temporal};
 
@@ -211,12 +211,12 @@ impl Dispatch {
 
     /// Which body this dispatch runs for `spec`: for the lane-body
     /// instances ([`Dispatch::Avx2Fma`], [`Dispatch::Avx512`]) the
-    /// chain body the kernels themselves pick ([`ChainBody::of`] over
-    /// the nonzero tap count, e.g. `chain<5>` or `chain<runtime>`);
-    /// for the other families, which have one body each, their label.
+    /// lane body with the length of the flattened chain it walks
+    /// ([`kernel::Lanes`], e.g. `lanes<5 taps>`); for the other
+    /// families, which have one body each, their label.
     pub fn body_label(self, spec: &StencilSpec) -> String {
         match self {
-            Dispatch::Avx2Fma | Dispatch::Avx512 => ChainBody::of(spec.points()).label(),
+            Dispatch::Avx2Fma | Dispatch::Avx512 => format!("lanes<{} taps>", spec.points()),
             d => d.label().to_string(),
         }
     }

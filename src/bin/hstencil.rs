@@ -11,8 +11,8 @@
 //! `dispatch` prints the native kernel the auto entry points
 //! (`apply_2d_parallel`, `time_steps`) resolve for that sweep on this
 //! host, after env pins, tune plans and heuristics, and the body that
-//! kernel runs for the stencil (`body=chain<5>` for an unrolled
-//! five-tap lane body, `body=chain<runtime>` for any other tap count).
+//! kernel runs for the stencil (`body=lanes<5 taps>`: the lane body
+//! walking a five-tap chain; the family label for the other kernels).
 
 use hstencil::isa::assemble;
 use hstencil::native::{tune, Dispatch};
