@@ -177,7 +177,10 @@ mod x86 {
 
     /// Cap on the flattened tap tables the vector bodies keep on the
     /// stack: the widest vectorized spec is a box at
-    /// [`super::MAX_VEC_RADIUS`] = 4, (2·4+1)² offsets.
+    /// [`super::MAX_VEC_RADIUS`] = 4, (2·4+1)² offsets. The tables stay
+    /// uninitialized past the live taps: filling all 81 entries on every
+    /// row call cost a short chain more stores than its row has FMAs,
+    /// and only entries below the live tap count are ever read.
     const MAX_TAPS: usize = 81;
 
     /// AVX2 `f64` tempvec row: operands are offset loads
@@ -204,13 +207,13 @@ mod x86 {
         n_read: usize,
         dst: *mut f64,
     ) {
-        let mut tp = [std::ptr::null::<f64>(); MAX_TAPS];
-        let mut tc = [_mm256_setzero_pd(); MAX_TAPS];
+        let mut tp = [std::mem::MaybeUninit::<*const f64>::uninit(); MAX_TAPS];
+        let mut tc = [std::mem::MaybeUninit::<__m256d>::uninit(); MAX_TAPS];
         let mut nt = 0usize;
         for (d, taps) in single.iter().enumerate() {
             for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm256_set1_pd(c);
+                tp[nt].write(srows[d].add((dj + r) as usize));
+                tc[nt].write(_mm256_set1_pd(c));
                 nt += 1;
             }
         }
@@ -223,8 +226,8 @@ mod x86 {
             let mut b0 = _mm256_setzero_pd();
             let mut b1 = _mm256_setzero_pd();
             for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
+                let p = tp[t].assume_init().add(x);
+                let cv = tc[t].assume_init();
                 if t % 2 == 0 {
                     a0 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(p), a0);
                     b0 = _mm256_fmadd_pd(cv, _mm256_loadu_pd(p.add(4)), b0);
@@ -241,11 +244,11 @@ mod x86 {
             let mut a0 = _mm256_setzero_pd();
             let mut a1 = _mm256_setzero_pd();
             for t in 0..nt {
-                let op = _mm256_loadu_pd(tp[t].add(x));
+                let op = _mm256_loadu_pd(tp[t].assume_init().add(x));
                 if t % 2 == 0 {
-                    a0 = _mm256_fmadd_pd(tc[t], op, a0);
+                    a0 = _mm256_fmadd_pd(tc[t].assume_init(), op, a0);
                 } else {
-                    a1 = _mm256_fmadd_pd(tc[t], op, a1);
+                    a1 = _mm256_fmadd_pd(tc[t].assume_init(), op, a1);
                 }
             }
             _mm256_storeu_pd(dst.add(x), _mm256_add_pd(a0, a1));
@@ -268,13 +271,13 @@ mod x86 {
         n_read: usize,
         dst: *mut f32,
     ) {
-        let mut tp = [std::ptr::null::<f32>(); MAX_TAPS];
-        let mut tc = [_mm256_setzero_ps(); MAX_TAPS];
+        let mut tp = [std::mem::MaybeUninit::<*const f32>::uninit(); MAX_TAPS];
+        let mut tc = [std::mem::MaybeUninit::<__m256>::uninit(); MAX_TAPS];
         let mut nt = 0usize;
         for (d, taps) in single.iter().enumerate() {
             for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm256_set1_ps(c);
+                tp[nt].write(srows[d].add((dj + r) as usize));
+                tc[nt].write(_mm256_set1_ps(c));
                 nt += 1;
             }
         }
@@ -286,8 +289,8 @@ mod x86 {
             let mut b0 = _mm256_setzero_ps();
             let mut b1 = _mm256_setzero_ps();
             for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
+                let p = tp[t].assume_init().add(x);
+                let cv = tc[t].assume_init();
                 if t % 2 == 0 {
                     a0 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(p), a0);
                     b0 = _mm256_fmadd_ps(cv, _mm256_loadu_ps(p.add(8)), b0);
@@ -304,11 +307,11 @@ mod x86 {
             let mut a0 = _mm256_setzero_ps();
             let mut a1 = _mm256_setzero_ps();
             for t in 0..nt {
-                let op = _mm256_loadu_ps(tp[t].add(x));
+                let op = _mm256_loadu_ps(tp[t].assume_init().add(x));
                 if t % 2 == 0 {
-                    a0 = _mm256_fmadd_ps(tc[t], op, a0);
+                    a0 = _mm256_fmadd_ps(tc[t].assume_init(), op, a0);
                 } else {
-                    a1 = _mm256_fmadd_ps(tc[t], op, a1);
+                    a1 = _mm256_fmadd_ps(tc[t].assume_init(), op, a1);
                 }
             }
             _mm256_storeu_ps(dst.add(x), _mm256_add_ps(a0, a1));
@@ -332,13 +335,13 @@ mod x86 {
         n_read: usize,
         dst: *mut f64,
     ) {
-        let mut tp = [std::ptr::null::<f64>(); MAX_TAPS];
-        let mut tc = [_mm512_setzero_pd(); MAX_TAPS];
+        let mut tp = [std::mem::MaybeUninit::<*const f64>::uninit(); MAX_TAPS];
+        let mut tc = [std::mem::MaybeUninit::<__m512d>::uninit(); MAX_TAPS];
         let mut nt = 0usize;
         for (d, taps) in single.iter().enumerate() {
             for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm512_set1_pd(c);
+                tp[nt].write(srows[d].add((dj + r) as usize));
+                tc[nt].write(_mm512_set1_pd(c));
                 nt += 1;
             }
         }
@@ -350,8 +353,8 @@ mod x86 {
             let mut b0 = _mm512_setzero_pd();
             let mut b1 = _mm512_setzero_pd();
             for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
+                let p = tp[t].assume_init().add(x);
+                let cv = tc[t].assume_init();
                 if t % 2 == 0 {
                     a0 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(p), a0);
                     b0 = _mm512_fmadd_pd(cv, _mm512_loadu_pd(p.add(8)), b0);
@@ -368,11 +371,11 @@ mod x86 {
             let mut a0 = _mm512_setzero_pd();
             let mut a1 = _mm512_setzero_pd();
             for t in 0..nt {
-                let op = _mm512_loadu_pd(tp[t].add(x));
+                let op = _mm512_loadu_pd(tp[t].assume_init().add(x));
                 if t % 2 == 0 {
-                    a0 = _mm512_fmadd_pd(tc[t], op, a0);
+                    a0 = _mm512_fmadd_pd(tc[t].assume_init(), op, a0);
                 } else {
-                    a1 = _mm512_fmadd_pd(tc[t], op, a1);
+                    a1 = _mm512_fmadd_pd(tc[t].assume_init(), op, a1);
                 }
             }
             _mm512_storeu_pd(dst.add(x), _mm512_add_pd(a0, a1));
@@ -395,13 +398,13 @@ mod x86 {
         n_read: usize,
         dst: *mut f32,
     ) {
-        let mut tp = [std::ptr::null::<f32>(); MAX_TAPS];
-        let mut tc = [_mm512_setzero_ps(); MAX_TAPS];
+        let mut tp = [std::mem::MaybeUninit::<*const f32>::uninit(); MAX_TAPS];
+        let mut tc = [std::mem::MaybeUninit::<__m512>::uninit(); MAX_TAPS];
         let mut nt = 0usize;
         for (d, taps) in single.iter().enumerate() {
             for &(dj, c) in taps {
-                tp[nt] = srows[d].add((dj + r) as usize);
-                tc[nt] = _mm512_set1_ps(c);
+                tp[nt].write(srows[d].add((dj + r) as usize));
+                tc[nt].write(_mm512_set1_ps(c));
                 nt += 1;
             }
         }
@@ -413,8 +416,8 @@ mod x86 {
             let mut b0 = _mm512_setzero_ps();
             let mut b1 = _mm512_setzero_ps();
             for t in 0..nt {
-                let p = tp[t].add(x);
-                let cv = tc[t];
+                let p = tp[t].assume_init().add(x);
+                let cv = tc[t].assume_init();
                 if t % 2 == 0 {
                     a0 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(p), a0);
                     b0 = _mm512_fmadd_ps(cv, _mm512_loadu_ps(p.add(16)), b0);
@@ -431,11 +434,11 @@ mod x86 {
             let mut a0 = _mm512_setzero_ps();
             let mut a1 = _mm512_setzero_ps();
             for t in 0..nt {
-                let op = _mm512_loadu_ps(tp[t].add(x));
+                let op = _mm512_loadu_ps(tp[t].assume_init().add(x));
                 if t % 2 == 0 {
-                    a0 = _mm512_fmadd_ps(tc[t], op, a0);
+                    a0 = _mm512_fmadd_ps(tc[t].assume_init(), op, a0);
                 } else {
-                    a1 = _mm512_fmadd_ps(tc[t], op, a1);
+                    a1 = _mm512_fmadd_ps(tc[t].assume_init(), op, a1);
                 }
             }
             _mm512_storeu_ps(dst.add(x), _mm512_add_ps(a0, a1));
